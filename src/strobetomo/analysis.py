@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import vec, unvec, hs_inner
+from .matcore import vec
 
 __all__ = [
     "SpectralReport",
@@ -44,11 +44,8 @@ __all__ = [
     "OptimalityReport",
     "SpanReport",
     "spectral_report",
-    "discriminant",
     "optimality_report",
-    "heisenberg_power",
     "krylov_span_check",
-    "admissibility_matrix",
     "span_check",
     "krylov_basis",
     "two_level_admissible",
@@ -225,19 +222,6 @@ def _min_poly_degree(gen: np.ndarray, tol: float | None = None) -> int:
     return dim  # unreachable: dependence must occur by m = dim
 
 
-def discriminant(gen, tol: float | None = None) -> complex:
-    """prod_{i<j} (lambda_i - lambda_j)^2 over the raw numeric spectrum."""
-    spectrum = matcore.eig(np.asarray(gen, dtype=complex), tol=tol)
-    lam = spectrum.eigenvalues
-    if lam.size < 2:
-        return complex(1.0)
-    out = complex(1.0)
-    for i in range(lam.size):
-        for j in range(i + 1, lam.size):
-            out *= (lam[i] - lam[j]) ** 2
-    return out
-
-
 def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
     """Evaluate all optimality certificates and report disagreements."""
     report = spectral_report(gen, tol=tol)
@@ -255,7 +239,7 @@ def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
         notes.append(
             f"measured mu = {report.mu} differs from the nonderogatory value n^2 = {dim}"
         )
-    if optimal and report.mu != dim - 1:
+    if optimal and report.mu == dim:
         notes.append(
             f"measured mu = {report.mu} equals n^2 = {dim}, not the alternative "
             f"reference value n^2 - 1 = {dim - 1}; the n^2 - 1 identity is "
@@ -281,27 +265,6 @@ def _discriminant_nonzero(report: SpectralReport) -> bool:
     return all(alg == 1 for _, alg, _ in report.spectrum.clusters)
 
 
-def heisenberg_power(gen, q, k: int) -> np.ndarray:
-    """k-fold application of the dual generator: unvec((L*)^k vec Q).
-
-    The dual (Heisenberg) generator is the conjugate transpose of the
-    vectorized generator matrix; it preserves Hermiticity, so the output is
-    Hermitian whenever Q is.
-    """
-    if k < 0:
-        raise ValueError(f"power must be nonnegative, got {k}")
-    gen = np.asarray(gen, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    n = q.shape[0]
-    if gen.shape != (n * n, n * n):
-        raise ValueError(f"generator shape {gen.shape} does not match observable dim {n}")
-    dual = gen.conj().T
-    v = vec(q)
-    for _ in range(k):
-        v = dual @ v
-    return unvec(v, n, n)
-
-
 def _krylov_columns(gen: np.ndarray, q: np.ndarray, count: int) -> list[np.ndarray]:
     """[vec Q, L* vec Q, ..., (L*)^{count-1} vec Q]."""
     dual = gen.conj().T
@@ -323,12 +286,6 @@ def krylov_basis(gen, q, tol: float | None = None) -> KrylovBasis:
     mat = np.column_stack(cols)
     rank = matcore.rank_with_tol(cols, tol=tol)
     return KrylovBasis(vectors=mat, rank=rank, condition=float(np.linalg.cond(mat)))
-
-
-def admissibility_matrix(gen, q) -> np.ndarray:
-    """The square matrix M = [vec I | vec Q | L* vec Q | ...] whose
-    nonsingularity certifies that Q alone can reconstruct states."""
-    return krylov_basis(gen, q).vectors
 
 
 def span_check(gen, q, tol: float | None = None) -> bool:

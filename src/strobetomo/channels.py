@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import kron, vec, unvec, expm_apply
+from .matcore import vec, unvec, expm_apply
 
 __all__ = [
     "TwoLevelParams",
@@ -353,11 +353,11 @@ def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     n = spec.dim
     eye = np.eye(n, dtype=complex)
     h = spec.hamiltonian
-    gen = -1j * (kron(eye, h) - kron(h.T, eye))
+    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for v, rate in zip(spec.jump_operators, spec.rates):
         vdv = v.conj().T @ v
         gen = gen + rate * (
-            kron(v.conj(), v) - 0.5 * kron(eye, vdv) - 0.5 * kron(v.T @ v.conj(), eye)
+            np.kron(v.conj(), v) - 0.5 * np.kron(eye, vdv) - 0.5 * np.kron(v.T @ v.conj(), eye)
         )
     return gen
 
@@ -375,9 +375,9 @@ def generator_two_level(p: TwoLevelParams) -> np.ndarray:
     s1, s2, s3 = _PAULI
     s = p.a1 + p.a2 + p.a3
     gen = (
-        p.a1 * kron(s1, s1)
-        + p.a2 * kron(s2.T, s2)
-        + p.a3 * kron(s3, s3)
+        p.a1 * np.kron(s1, s1)
+        + p.a2 * np.kron(s2.T, s2)
+        + p.a3 * np.kron(s3, s3)
         - s * np.eye(4, dtype=complex)
     )
     return p.gamma * gen

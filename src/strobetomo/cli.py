@@ -34,7 +34,7 @@ from . import analysis, channels, matcore, reconstruct
 
 __all__ = ["main", "matrix_to_json", "matrix_from_json"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 #: Hard cap on scan grid size.
 SCAN_POINT_CAP = 10_000_000
@@ -343,7 +343,6 @@ def cmd_reconstruct(args) -> int:
         "trace_defect": result.trace_defect,
         "min_eigenvalue": result.min_eigenvalue,
         "condition_reduced": result.condition_reduced,
-        "condition_gram": result.condition_gram,
         "psd_estimate": (
             matrix_to_json(result.psd_estimate) if result.psd_estimate is not None else None
         ),

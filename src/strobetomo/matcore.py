@@ -1,14 +1,14 @@
 """Dense complex linear algebra for small superoperators.
 
 Everything in this package runs through a handful of primitives collected
-here: Kronecker products, column-major vectorization, Hilbert-Schmidt inner
-products, spectral decompositions with degeneracy clustering, matrix
-exponential action, and tolerance-aware rank / linear solves.
+here: column-major vectorization, Hilbert-Schmidt inner products, spectral
+decompositions with degeneracy clustering, matrix exponential action, and
+tolerance-aware rank / linear solves.
 
 Conventions fixed once and for all:
 
 * ``vec`` stacks columns (column-major / Fortran order), so that
-  ``vec(X @ Y @ Z) == kron(Z.T, X) @ vec(Y)``.  Row-major stacking breaks
+  ``vec(X @ Y @ Z) == np.kron(Z.T, X) @ vec(Y)``.  Row-major stacking breaks
   that identity, and with it every generator built in :mod:`.channels`.
 * Numerical rank uses a *relative* singular-value cutoff, default
   ``1e-9`` times the largest singular value (overridable per call, or
@@ -37,7 +37,6 @@ __all__ = [
     "SolveResult",
     "default_rank_tol",
     "as_matrix",
-    "kron",
     "vec",
     "unvec",
     "hs_inner",
@@ -45,7 +44,6 @@ __all__ = [
     "expm_apply",
     "rank_with_tol",
     "solve",
-    "vandermonde_solve",
 ]
 
 #: Relative singular-value cutoff separating true degeneracy from rounding
@@ -103,11 +101,6 @@ def as_matrix(obj) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product (thin wrapper, kept for a uniform vocabulary)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def vec(m) -> np.ndarray:
@@ -305,22 +298,3 @@ def solve(a, b, *, name: str = "matrix", max_condition: float = 1e15) -> SolveRe
     x = np.linalg.solve(a, b)
     return SolveResult(solution=x, condition=cond)
 
-
-def vandermonde_solve(nodes, values) -> np.ndarray:
-    """Coefficients ``c`` with ``sum_k c_k node_j^k = value_j`` for all j.
-
-    The nodes must be pairwise distinct; repeated nodes make the system
-    singular and are rejected up front with an exact check.
-    """
-    nodes = np.asarray(nodes, dtype=complex).ravel()
-    values = np.asarray(values, dtype=complex).ravel()
-    if nodes.size != values.size:
-        raise ValueError(f"{nodes.size} nodes but {values.size} values")
-    if nodes.size == 0:
-        raise ValueError("vandermonde_solve requires at least one node")
-    diffs = np.abs(nodes[:, None] - nodes[None, :])
-    np.fill_diagonal(diffs, np.inf)
-    if np.min(diffs) == 0:
-        raise ValueError("vandermonde_solve requires pairwise distinct nodes")
-    v = np.vander(nodes, increasing=True)
-    return np.linalg.solve(v, values)

@@ -2,36 +2,18 @@
 
 The pipeline recovers an unknown initial state rho(0) from expectation
 values of a *single* observable Q measured at p = n^2 - 1 time instants,
-given the evolution generator L.  The chain of identities:
+given the evolution generator L.  In the Heisenberg picture each record is
 
-1.  rho(t) = exp(L t) rho(0), and exp(L t) is a polynomial in L of degree
-    mu - 1 (mu = minimal-polynomial degree), with coefficients alpha_k(t)
-    interpolating e^{lambda t} on the spectrum.
-2.  Hence m(t_j) = Tr(Q rho(t_j)) = sum_k alpha_k(t_j) g_k with the Krylov
-    projections g_k = <(L*)^k [Q], rho(0)>.
-3.  When {I, Q, L*[Q], ..., (L*)^{n^2-2}[Q]} spans the operator space, the
-    top power (L*)^{n^2-1}[Q] decomposes in that basis, and the trace
-    constraint Tr rho = 1 removes one more unknown: p = n^2 - 1 instants
-    suffice, and rho(0) is recovered from the basis projections.
+    m(t_j) = Tr(Q rho(t_j)) = <exp(L* t_j)[Q], rho(0)>,
 
-Numerical realization.  All of the above is basis-covariant, and the raw
-power sequence is catastrophically ill-conditioned already at n = 3 (it is
-a monomial Vandermonde system over clustered eigenvalues: condition
-numbers of the raw Gram matrix routinely exceed 1e16, far beyond the 1e8
-validity gate).  The plan therefore orthonormalizes the Krylov sequence
-(ordered QR, so basis element 0 is I/sqrt(n), element 1 is the component
-of Q orthogonal to it, and so on) and runs the identical algebra in that
-basis: the reduced p x p system then has the *intrinsic* conditioning of
-the measurement design itself, and the Gram recovery is exact.  Operator
-coordinates are taken in a real orthonormal Hermitian basis, keeping every
-intermediate real.
-
-The reduced-system rows are assembled from exp(L* t_j)[Q] directly — for
-an optimal generator (simple spectrum, hence nonderogatory) this equals
-the alpha-expansion sum_k alpha_k(t_j) (L*)^k [Q] exactly, while avoiding
-the cancellation that explicit high-order alpha coefficients introduce.
-The alpha matrix itself is still computed, stored on the plan, and
-verified against its interpolation invariant.
+so writing both operators in a fixed real-orthonormal basis {B_u} of
+Hermitian n x n matrices (B_0 = I/sqrt(n)) turns the campaign into one
+linear system F c = m, with F[j, u] = <B_u, exp(L* t_j)[Q]> and c the
+coordinates of rho(0).  The trace constraint fixes c_0 = 1/sqrt(n); the
+remaining n^2 - 1 unknowns are solved from the p x p reduced system
+F[:, 1:].  It can be invertible only when Q passes the Krylov span check;
+its condition number measures the measurement design (observable and
+instants) and is gated at 1e8.
 
 Measurement simulation follows the Born rule on Q's eigenbasis with a
 multinomial shot model; per-instant substreams are spawned from one seed,
@@ -51,12 +33,10 @@ from .matcore import ConditioningError, vec, unvec, expm_apply
 
 __all__ = [
     "TimeGrid",
-    "AlphaCoefficients",
     "MeasurementRecord",
     "ReconstructionPlan",
     "ReconstructionResult",
     "default_time_grid",
-    "alpha_at",
     "evolve",
     "expectation",
     "measure",
@@ -68,13 +48,13 @@ __all__ = [
     "records_from_csv",
 ]
 
-#: Plans whose reduced or Gram condition number reaches this bound are
+#: Plans whose reduced matrix has a condition number at this bound are
 #: rejected: linear inversion past it cannot be trusted in double precision.
 CONDITION_LIMIT = 1e8
 
 
 # ---------------------------------------------------------------------------
-# time grids and alpha coefficients
+# time grids
 # ---------------------------------------------------------------------------
 
 
@@ -121,46 +101,9 @@ def default_time_grid(gen, p: int, tol: float | None = None) -> TimeGrid:
     if lam_max <= 0:
         raise ValueError("zero spectrum: no decay scale to set a horizon")
     horizon = 1.0 / lam_max
-    instants = tuple((j + 1) * horizon / p for j in range(p))
+    # The last instant is the horizon itself: p * T / p can round above T.
+    instants = tuple((j + 1) * horizon / p for j in range(p - 1)) + (horizon,)
     return TimeGrid(instants=instants, horizon=horizon)
-
-
-@dataclass(frozen=True)
-class AlphaCoefficients:
-    """Interpolation coefficients of exp(L t) as a polynomial in L.
-
-    ``coefficients[k]`` multiplies L^k; ``nodes`` are the distinct
-    eigenvalues used as interpolation nodes, so that
-    sum_k coefficients[k] nodes_j^k = e^{nodes_j t} for every j.
-    """
-
-    t: float
-    coefficients: np.ndarray
-    nodes: np.ndarray
-
-    def residual(self) -> float:
-        """Max interpolation defect over the nodes."""
-        vals = np.polynomial.polynomial.polyval(self.nodes, self.coefficients)
-        return float(np.max(np.abs(vals - np.exp(self.nodes * self.t))))
-
-
-def alpha_at(gen, t: float, tol: float | None = None) -> AlphaCoefficients:
-    """Coefficients alpha_k(t) with exp(L t) = sum_k alpha_k(t) L^k.
-
-    Valid for generators with simple spectrum (the eta = 1 regime): the
-    coefficients interpolate e^{lambda t} over the n^2 distinct
-    eigenvalues.  Degenerate spectra fall outside the supported path and
-    are reported as errors.
-    """
-    report = analysis.spectral_report(gen, tol=tol)
-    nodes = report.spectrum.distinct_values()
-    if nodes.size != report.dim:
-        raise ValueError(
-            "alpha coefficients need pairwise distinct eigenvalues; "
-            f"spectrum has {nodes.size} distinct values for dimension {report.dim}"
-        )
-    coeffs = matcore.vandermonde_solve(nodes, np.exp(nodes * t))
-    return AlphaCoefficients(t=float(t), coefficients=coeffs, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +202,10 @@ def simulate_records(gen, q, rho0, grid: TimeGrid, shots, seed=None) -> list[Mea
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
+def _hermitian_basis(n: int) -> np.ndarray:
     """Real-orthonormal basis of Hermitian n x n matrices under <A,B> =
-    Tr(A B): I/sqrt(n), symmetric and antisymmetric off-diagonal pairs,
-    then traceless diagonal matrices."""
+    Tr(A B), stacked along axis 0: I/sqrt(n), symmetric and antisymmetric
+    off-diagonal pairs, then traceless diagonal matrices."""
     ops = [np.eye(n, dtype=complex) / np.sqrt(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -278,44 +221,31 @@ def _hermitian_basis(n: int) -> list[np.ndarray]:
         d[:k] = 1.0
         d[k] = -float(k)
         ops.append(np.diag(d).astype(complex) / np.linalg.norm(d))
-    return ops
+    return np.array(ops)
 
 
-def _herm_coords(m: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the orthonormal basis."""
-    return np.array([matcore.hs_inner(b, m).real for b in basis])
-
-
-def _from_herm_coords(c: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for ci, b in zip(c, basis):
-        out = out + ci * b
-    return out
+def _herm_coords(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Real coordinates <B_u, m> of Hermitian matrices in the orthonormal
+    basis; ``m`` may carry leading axes (one coordinate row per matrix)."""
+    return np.tensordot(m, basis.conj(), axes=([-2, -1], [1, 2])).real
 
 
 @dataclass(frozen=True)
 class ReconstructionPlan:
     """Everything needed to invert a measurement campaign.
 
-    ``basis`` is the orthonormalized Krylov basis (basis[0] = I/sqrt(n));
-    ``beta`` the coordinates of the top Krylov power (L*)^{n^2-1}[Q] in
-    that basis; ``alpha_matrix`` the p x n^2 matrix of alpha_k(t_j);
-    ``reduced_matrix`` the p x p system acting on the unknown basis
-    projections (the known trace component already eliminated);
-    ``forward_matrix`` its p x n^2 parent including the trace column.
+    ``forward_matrix`` is the p x n^2 matrix whose row j holds the
+    coordinates of exp(L* t_j)[Q] in the fixed Hermitian basis (column 0
+    is the I/sqrt(n) coordinate); ``reduced_matrix`` is its p x p block
+    acting on the unknown coordinates, the known trace column removed.
     """
 
     generator: np.ndarray
     observable: analysis.ObservableSpec
     grid: TimeGrid
-    basis: tuple[np.ndarray, ...]
-    beta: np.ndarray
-    alpha_matrix: np.ndarray
     reduced_matrix: np.ndarray
     forward_matrix: np.ndarray
-    gram_matrix: np.ndarray
     condition_reduced: float
-    condition_gram: float
     tolerance: float
 
     @property
@@ -326,23 +256,15 @@ class ReconstructionPlan:
     def p(self) -> int:
         return self.grid.p
 
-    @property
-    def valid(self) -> bool:
-        return (
-            self.condition_reduced < CONDITION_LIMIT
-            and self.condition_gram < CONDITION_LIMIT
-        )
-
 
 def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan:
     """Build and validate a reconstruction plan.
 
     Requirements checked here: the generator is optimal (eta = 1), the
-    observable passes the Krylov span check, and the grid has exactly
-    p = n^2 - 1 distinct instants.  The reduced system and the Gram matrix
-    of the working basis must both be conditioned below 1e8, otherwise a
-    :class:`~strobetomo.matcore.ConditioningError` narrates which matrix
-    failed.
+    grid has exactly p = n^2 - 1 distinct instants, and the observable
+    passes the Krylov span check.  The reduced system must be conditioned
+    below 1e8, otherwise a :class:`~strobetomo.matcore.ConditioningError`
+    is raised.
     """
     gen = np.asarray(gen, dtype=complex)
     obs = q if isinstance(q, analysis.ObservableSpec) else analysis.ObservableSpec.from_matrix(q)
@@ -363,59 +285,13 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     if not analysis.span_check(gen, obs.matrix, tol=tol):
         raise ValueError("observable fails the Krylov span check (inadmissible)")
 
-    basis_h = _hermitian_basis(n)
+    # Forward rows: exp(L* t_j)[Q] in the fixed Hermitian basis.
     dual = gen.conj().T
-
-    # Raw Krylov sequence I, Q, L*[Q], ..., (L*)^{n^2-1}[Q] in real coords.
-    cols = np.empty((n2, n2 + 1))
-    cols[:, 0] = _herm_coords(np.eye(n, dtype=complex), basis_h)
-    v = vec(obs.matrix)
-    for k in range(n2):
-        cols[:, k + 1] = _herm_coords(unvec(v, n, n), basis_h)
-        v = dual @ v
-
-    # Orthonormal working basis spanning the same flags, sign-fixed so the
-    # leading element is exactly I/sqrt(n).
-    q_orth, r_tri = np.linalg.qr(cols[:, :n2])
-    signs = np.sign(np.diag(r_tri))
-    signs[signs == 0] = 1.0
-    q_orth = q_orth * signs
-    beta = q_orth.T @ cols[:, n2]
-
-    working_basis = tuple(_from_herm_coords(q_orth[:, u], basis_h) for u in range(n2))
-    gram = q_orth.T @ q_orth
-    cond_gram = float(np.linalg.cond(gram))
-
-    # Forward rows: exp(L* t_j)[Q] expressed in working-basis coordinates.
-    # For a simple spectrum this *is* sum_k alpha_k(t_j) (L*)^k [Q], but
-    # evaluated through its generating exponential for stability.
     qv = vec(obs.matrix)
-    forward = np.empty((grid.p, n2))
-    for j, t in enumerate(grid.instants):
-        w = expm_apply(dual, t, qv)
-        forward[j] = q_orth.T @ _herm_coords(unvec(w, n, n), basis_h)
+    evolved = np.array([unvec(expm_apply(dual, t, qv), n, n) for t in grid.instants])
+    forward = _herm_coords(evolved, _hermitian_basis(n))
     reduced = forward[:, 1:]
     cond_reduced = float(np.linalg.cond(reduced))
-
-    alpha_matrix = np.column_stack(
-        [alpha_at(gen, t, tol=tol).coefficients for t in grid.instants]
-    ).T
-
-    used_tol = tol if tol is not None else matcore.default_rank_tol()
-    result = ReconstructionPlan(
-        generator=gen,
-        observable=obs,
-        grid=grid,
-        basis=working_basis,
-        beta=beta,
-        alpha_matrix=alpha_matrix,
-        reduced_matrix=reduced,
-        forward_matrix=forward,
-        gram_matrix=gram,
-        condition_reduced=cond_reduced,
-        condition_gram=cond_gram,
-        tolerance=used_tol,
-    )
     if cond_reduced >= CONDITION_LIMIT:
         raise ConditioningError(
             f"reduced coefficient matrix condition {cond_reduced:.3e} reaches the "
@@ -424,14 +300,15 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
             condition=cond_reduced,
             matrix_name="reduced coefficient matrix",
         )
-    if cond_gram >= CONDITION_LIMIT:
-        raise ConditioningError(
-            f"Krylov Gram matrix condition {cond_gram:.3e} reaches the "
-            f"{CONDITION_LIMIT:.0e} validity bound",
-            condition=cond_gram,
-            matrix_name="Gram matrix",
-        )
-    return result
+    return ReconstructionPlan(
+        generator=gen,
+        observable=obs,
+        grid=grid,
+        reduced_matrix=reduced,
+        forward_matrix=forward,
+        condition_reduced=cond_reduced,
+        tolerance=tol if tol is not None else matcore.default_rank_tol(),
+    )
 
 
 @dataclass(frozen=True)
@@ -449,7 +326,6 @@ class ReconstructionResult:
     trace_defect: float
     min_eigenvalue: float
     condition_reduced: float
-    condition_gram: float
     psd_estimate: np.ndarray | None = None
 
 
@@ -459,9 +335,9 @@ def execute(
     """Invert a measurement campaign against a plan.
 
     Records must align with the plan's grid (one record per instant).  The
-    reduced system is solved for the unknown basis projections, the trace
-    constraint supplies the known one, and the state is assembled through
-    the Gram system of the working basis.
+    reduced system is solved for the unknown coordinates, the trace
+    constraint supplies the known one, and the state is assembled from the
+    fixed Hermitian basis.
     """
     records = list(records)
     grid = plan_.grid
@@ -476,23 +352,15 @@ def execute(
     m = np.array([rec.value for rec in by_t], dtype=float)
 
     n = plan_.dim
-    # Known projection of rho(0) on basis[0] = I/sqrt(n) from Tr rho = 1.
+    # Known coordinate of rho(0) on B_0 = I/sqrt(n), from Tr rho = 1.
     h0 = 1.0 / np.sqrt(n)
     rhs = m - plan_.forward_matrix[:, 0] * h0
     sol = matcore.solve(
         plan_.reduced_matrix, rhs, name="reduced coefficient matrix",
         max_condition=CONDITION_LIMIT,
     )
-    projections = np.concatenate([[h0], sol.solution.real])
-
-    gram_sol = matcore.solve(
-        plan_.gram_matrix, projections, name="Gram matrix", max_condition=CONDITION_LIMIT
-    )
-    coeffs = gram_sol.solution.real
-
-    raw = np.zeros((n, n), dtype=complex)
-    for x_u, b_u in zip(coeffs, plan_.basis):
-        raw = raw + x_u * b_u
+    coords = np.concatenate([[h0], sol.solution.real])
+    raw = np.tensordot(coords, _hermitian_basis(n), axes=1)
 
     residual = float(np.linalg.norm(plan_.reduced_matrix @ sol.solution - rhs))
     herm_defect = float(np.max(np.abs(raw - raw.conj().T)))
@@ -510,7 +378,6 @@ def execute(
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
         condition_reduced=plan_.condition_reduced,
-        condition_gram=plan_.condition_gram,
         psd_estimate=psd,
     )
 

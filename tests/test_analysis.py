@@ -98,6 +98,18 @@ class TestOptimalityReport:
         assert report.mu == 9
         assert any("n^2 - 1" in note for note in report.notes)
 
+    def test_n_squared_note_only_when_mu_is_n_squared(self):
+        """An optimal qutrit whose measured mu is neither 8 nor 9 gets no
+        note claiming mu equals n^2."""
+        gen = generator_three_level(ThreeLevelParams(
+            0.06845029079807595, 0.18804345837789405, 0.11317749547898731,
+            0.18002522893957607, 0.18492773305291313, 0.18002649801097004, gamma=1.0,
+        ))
+        report = optimality_report(gen)
+        assert report.optimal
+        equals_note = any("equals n^2" in note for note in report.notes)
+        assert equals_note == (report.mu == 9)
+
     def test_degenerate_generator(self):
         report = optimality_report(GEN_2_DEGENERATE)
         assert not report.optimal

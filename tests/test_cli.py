@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ class TestAnalyze:
     def test_worked_example(self, capsys):
         code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
         assert code == 0
-        assert payload["schema_version"] == "1"
+        assert payload["schema_version"] == "2"
         assert payload["optimality"]["optimal"] is True
         assert payload["spectral"]["eta"] == 1
         assert payload["spectral"]["mu"] == 4
@@ -140,6 +143,12 @@ class TestReconstruct:
         np.testing.assert_allclose(est, np.array(self.RHO), atol=1e-8)
         assert payload["shots"] == "exact"
         assert len(payload["grid"]["instants"]) == 3
+        assert payload["condition_reduced"] < 1e8
+        assert set(payload) == {
+            "schema_version", "model", "gamma", "params", "grid", "observable", "shots",
+            "estimate", "residual_norm", "hermiticity_defect", "trace_defect",
+            "min_eigenvalue", "condition_reduced", "psd_estimate", "frobenius_error",
+        }
 
     def test_finite_shots_require_seed(self, capsys, tmp_path):
         assert main(self.reconstruct_args(tmp_path, shots="1000")) == 1
@@ -355,3 +364,17 @@ class TestSchemaRoundTrips:
             rows = list(csv_mod.DictReader(fh))
         assert len(rows) == 1
         assert float(rows[0]["discriminant"]) > 0
+
+
+def test_python_m_strobetomo_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "strobetomo", "analyze", "--model", "two-level",
+         "--params", "0.1,0.2,0.3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["optimality"]["optimal"] is True

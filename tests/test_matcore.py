@@ -8,11 +8,9 @@ from strobetomo.matcore import (
     eig,
     expm_apply,
     hs_inner,
-    kron,
     rank_with_tol,
     solve,
     unvec,
-    vandermonde_solve,
     vec,
 )
 
@@ -39,7 +37,7 @@ class TestVecConventions:
                 for _ in range(3)
             )
             lhs = vec(x @ y @ z)
-            rhs = kron(z.T, x) @ vec(y)
+            rhs = np.kron(z.T, x) @ vec(y)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_vec_rejects_non_matrix(self):
@@ -177,28 +175,6 @@ class TestSolve:
             solve(a, np.ones(2), name="demo system", max_condition=1e12)
         assert "demo system" in str(err.value)
         assert err.value.condition > 1e12
-
-
-class TestVandermondeSolve:
-    def test_polynomial_recovery(self):
-        """Interpolating p(x) = 2 - x + 3x^2 at 3 nodes returns its coefficients."""
-        nodes = np.array([0.0, 1.0, 2.0])
-        coeffs = np.array([2.0, -1.0, 3.0])
-        values = np.polyval(coeffs[::-1], nodes)
-        np.testing.assert_allclose(vandermonde_solve(nodes, values), coeffs, atol=1e-12)
-
-    def test_random_round_trip(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            nodes = rng.standard_normal(n) * 2
-            coeffs = rng.standard_normal(n)
-            values = np.vander(nodes, increasing=True) @ coeffs
-            np.testing.assert_allclose(vandermonde_solve(nodes, values), coeffs, atol=1e-8)
-
-    def test_repeated_nodes_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            vandermonde_solve([1.0, 1.0, 2.0], [0.0, 0.0, 1.0])
 
 
 class TestTolerancePlumbing:

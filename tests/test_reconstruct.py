@@ -10,11 +10,12 @@ from strobetomo.channels import (
     generator_three_level,
     generator_two_level,
 )
-from strobetomo.matcore import ConditioningError, vec
+from strobetomo.matcore import ConditioningError
 from strobetomo.reconstruct import (
     MeasurementRecord,
     TimeGrid,
-    alpha_at,
+    _herm_coords,
+    _hermitian_basis,
     default_time_grid,
     evolve,
     execute,
@@ -33,6 +34,17 @@ GEN_3_CLUSTERED = generator_three_level(
 )
 RHO_2 = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
 Q_2 = np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])  # (A,B,C,D) = (1,0,1,1)
+
+# Qubit points (gamma = 1) whose default horizon T is not recovered as
+# 3 * T / 3: that quotient rounds one ulp above T.
+ROUNDING_HORIZON_POINTS = (
+    (0.5060275912134737, 0.016167606158652006, 0.2384854486110743),
+    (0.0636249281711857, 0.591446624969274, 0.029604748639981415),
+    (0.21714891786285906, 0.008191700567180327, 0.5051713764129117),
+    (0.34125455555265904, 0.2865397630115275, 0.3582240286856516),
+    (0.20890881529165306, 0.39106540738776796, 0.15221730384825927),
+    (0.22958226079448907, 0.0469814706536863, 0.494171590920257),
+)
 
 
 def random_density(rng, n):
@@ -65,31 +77,25 @@ class TestTimeGrid:
         assert grid.horizon == pytest.approx(1.0 / 0.93)
         np.testing.assert_allclose(grid.instants, [(j + 1) / 8 / 0.93 for j in range(8)])
 
+    def test_last_instant_is_the_horizon(self):
+        """The last instant equals the horizon even where 3 * T / 3 > T,
+        and an exact campaign on that grid recovers the state."""
+        rng = np.random.default_rng(34)
+        for i, a in enumerate(ROUNDING_HORIZON_POINTS):
+            gen = generator_two_level(TwoLevelParams(*a, gamma=1.0))
+            grid = default_time_grid(gen, 3)
+            assert 3 * grid.horizon / 3 > grid.horizon
+            assert grid.instants[-1] == grid.horizon
+            obs = random_admissible_observable(gen, i)
+            rho = random_density(rng, 2)
+            records = simulate_records(gen, obs.matrix, rho, grid, "exact")
+            result = execute(plan(gen, obs, grid), records)
+            assert np.linalg.norm(result.estimate - rho) < 1e-8
+
     def test_default_grid_rejects_degenerate_generator(self):
         gen = generator_two_level(TwoLevelParams(0.2, 0.2, 0.3, gamma=1.0))
         with pytest.raises(ValueError, match="eta"):
             default_time_grid(gen, 3)
-
-
-class TestAlphaCoefficients:
-    def test_exponential_identity(self):
-        """exp(L t) = sum_k alpha_k(t) L^k holds exactly on a simple spectrum."""
-        from scipy.linalg import expm
-
-        for t in (0.1, 0.7, 2.0):
-            alpha = alpha_at(GEN_2, t)
-            total = np.zeros((4, 4), dtype=complex)
-            power = np.eye(4, dtype=complex)
-            for coeff in alpha.coefficients:
-                total = total + coeff * power
-                power = power @ GEN_2
-            np.testing.assert_allclose(total, expm(GEN_2 * t), atol=1e-10)
-            assert alpha.residual() < 1e-10
-
-    def test_needs_simple_spectrum(self):
-        gen = generator_two_level(TwoLevelParams(0.2, 0.2, 0.3, gamma=1.0))
-        with pytest.raises(ValueError):
-            alpha_at(gen, 0.5)
 
 
 class TestEvolveAndMeasure:
@@ -149,15 +155,52 @@ class TestPlan:
     def test_worked_example_plan(self):
         grid = default_time_grid(GEN_2, 3)
         p = plan(GEN_2, Q_2, grid)
-        assert p.valid
         assert p.dim == 2
         assert p.p == 3
         assert p.condition_reduced < 1e8
-        # orthonormalized working basis: the Gram matrix is the identity
-        np.testing.assert_allclose(p.gram_matrix, np.eye(4), atol=1e-12)
-        assert p.condition_gram == pytest.approx(1.0, abs=1e-10)
-        # first basis element is I/sqrt(2), fixing the trace projection
-        np.testing.assert_allclose(p.basis[0], np.eye(2) / np.sqrt(2), atol=1e-12)
+        assert p.forward_matrix.shape == (3, 4)
+        np.testing.assert_array_equal(p.reduced_matrix, p.forward_matrix[:, 1:])
+
+    def test_trace_column_is_unital(self):
+        """The dual evolution is unital, so every row's I/sqrt(n) coordinate
+        is Tr(Q)/sqrt(n)."""
+        grid = default_time_grid(GEN_2, 3)
+        for seed in range(5):
+            obs = random_admissible_observable(GEN_2, seed)
+            p = plan(GEN_2, obs, grid)
+            expected = np.trace(obs.matrix).real / np.sqrt(2)
+            np.testing.assert_allclose(p.forward_matrix[:, 0], expected, atol=1e-12)
+
+    def test_forward_rows_predict_exact_records(self):
+        """forward_matrix @ coords(rho0) are the noiseless records."""
+        rng = np.random.default_rng(35)
+        grid = default_time_grid(GEN_2, 3)
+        p = plan(GEN_2, Q_2, grid)
+        basis = _hermitian_basis(2)
+        for _ in range(5):
+            rho = random_density(rng, 2)
+            records = simulate_records(GEN_2, Q_2, rho, grid, "exact")
+            np.testing.assert_allclose(
+                p.forward_matrix @ _herm_coords(rho, basis),
+                [r.value for r in records],
+                atol=1e-12,
+            )
+
+    def test_condition_matches_pauli_closed_form(self):
+        """The qubit channel is a Pauli channel: sigma_k components decay at
+        r_k = -2 gamma (sum of the two other coefficients), so the reduced rows
+        are sqrt(2) q_k e^{r_k t_j} in the basis sigma_k / sqrt(2)."""
+        a1, a2, a3 = 0.1, 0.2, 0.3
+        rates = -2.0 * np.array([a2 + a3, a1 + a3, a1 + a2])
+        grid = default_time_grid(GEN_2, 3)
+        times = np.array(grid.instants)
+        for seed in range(5):
+            q = random_admissible_observable(GEN_2, seed).matrix
+            qk = np.array([q[0, 1].real, -q[0, 1].imag, (q[0, 0] - q[1, 1]).real / 2])
+            rows = np.sqrt(2.0) * qk * np.exp(np.outer(times, rates))
+            sv = np.linalg.svd(rows, compute_uv=False)
+            p = plan(GEN_2, q, grid)
+            assert p.condition_reduced == pytest.approx(sv[0] / sv[-1], rel=1e-10)
 
     def test_wrong_instant_count(self):
         grid = TimeGrid(instants=(0.2, 0.5), horizon=1.0)
@@ -189,23 +232,6 @@ class TestPlan:
         grid = default_time_grid(GEN_3_CLUSTERED, 8)
         with pytest.raises((ConditioningError, ValueError)):
             plan(GEN_3_CLUSTERED, q, grid)
-
-    def test_alpha_rows_match_forward_rows(self):
-        """The two representations of exp(L* t)[Q] agree on the grid."""
-        grid = default_time_grid(GEN_2, 3)
-        p = plan(GEN_2, Q_2, grid)
-        for j, t in enumerate(grid.instants):
-            # build exp(L* t)[Q] from the alpha expansion and project it
-            total = np.zeros(4, dtype=complex)
-            power = vec(np.asarray(Q_2, dtype=complex))
-            for coeff in p.alpha_matrix[j]:
-                total = total + coeff * power
-                power = GEN_2.conj().T @ power
-            np.testing.assert_allclose(
-                [np.vdot(vec(b), total).real for b in p.basis],
-                p.forward_matrix[j],
-                atol=1e-9,
-            )
 
 
 class TestExecute:
