@@ -9,11 +9,15 @@ Two concrete families are provided, plus a generic Lindblad route:
   dependent coefficients ``a7 = a4+a5-a6`` and ``a8 = a1+a2+a3-a4-a5``
   forced by the channel (unitality + completeness) conditions.
 
-Both families correspond to semigroup generators that are *real symmetric*
-matrices in vectorized form, hence diagonalizable with a real spectrum, and
-both spectra are available in closed form.  The closed forms are exposed
-separately so that numerical eigendecompositions can be cross-checked
-against exact arithmetic.
+Both family generators are linear in the parameters,
+``L = gamma sum_k a_k D(B_k)``, where ``D(B_k)`` is the dissipator of the
+k-th Pauli or Gell-Mann matrix.  The dissipators are built once at import,
+with the same formula :func:`generator_from_lindblad` uses, so a family
+generator is one contraction of the rates with a fixed stack.  Both
+generators are *real symmetric* matrices in vectorized form, hence
+diagonalizable with a real spectrum, and both spectra are available in
+closed form.  The closed forms are exposed separately so that numerical
+eigendecompositions can be cross-checked against exact arithmetic.
 
 Operator bases are normalized to ``Tr(B_i B_j) = 2 delta_ij`` (standard
 Pauli/Gell-Mann convention).  The dependent-coefficient identities above
@@ -348,6 +352,22 @@ def apply_kraus(family: KrausFamily, t: float, rho) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _dissipator(v: np.ndarray) -> np.ndarray:
+    """Vectorized dissipator of one jump operator at unit rate."""
+    eye = np.eye(v.shape[0], dtype=complex)
+    return (
+        np.kron(v.conj(), v)
+        - 0.5 * np.kron(eye, v.conj().T @ v)
+        - 0.5 * np.kron(v.T @ v.conj(), eye)
+    )
+
+
+#: D(sigma_k) for k = 1..3, shape (3, 4, 4), and D(lambda_k) for k = 1..8,
+#: shape (8, 9, 9).
+_PAULI_DISSIPATORS = np.array([_dissipator(s) for s in _PAULI])
+_GELLMANN_DISSIPATORS = np.array([_dissipator(g) for g in _GELLMANN])
+
+
 def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     """Vectorized GKSL generator for arbitrary (H, {V_i}, {gamma_i})."""
     n = spec.dim
@@ -355,51 +375,45 @@ def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     h = spec.hamiltonian
     gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for v, rate in zip(spec.jump_operators, spec.rates):
-        vdv = v.conj().T @ v
-        gen = gen + rate * (
-            np.kron(v.conj(), v) - 0.5 * np.kron(eye, vdv) - 0.5 * np.kron(v.T @ v.conj(), eye)
-        )
+        gen = gen + rate * _dissipator(v)
     return gen
 
 
-def generator_two_level(p: TwoLevelParams) -> np.ndarray:
-    """Qubit family generator, in its closed form.
+def _family_generator(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
+    """gamma sum_k a_k D(B_k) over the family's dissipator stack.
 
+    Performs no domain check: for callers that have validated ``p``.
+    """
+    stack = _PAULI_DISSIPATORS if isinstance(p, TwoLevelParams) else _GELLMANN_DISSIPATORS
+    return np.tensordot(p.gamma * np.array(p.coefficients), stack, axes=1)
+
+
+def generator_two_level(p: TwoLevelParams) -> np.ndarray:
+    """Qubit family generator gamma (a1 D(s1) + a2 D(s2) + a3 D(s3)).
+
+    Here D(s_k) = conj(s_k) (x) s_k - I4, so the generator is
     gamma (a1 s1 (x) s1 + a2 s2^T (x) s2 + a3 s3 (x) s3 - (a1+a2+a3) I4).
-    The transpose on sigma_2 is where the complex conjugation of the
-    dissipator lands for the only non-real Pauli matrix.
+    Raises ValueError outside the CPTP domain.
     """
     report = validate_two_level(p)
     if not report.cptp_domain:
         raise ValueError("; ".join(report.violations))
-    s1, s2, s3 = _PAULI
-    s = p.a1 + p.a2 + p.a3
-    gen = (
-        p.a1 * np.kron(s1, s1)
-        + p.a2 * np.kron(s2.T, s2)
-        + p.a3 * np.kron(s3, s3)
-        - s * np.eye(4, dtype=complex)
-    )
-    return p.gamma * gen
+    return _family_generator(p)
 
 
 def generator_three_level(p: ThreeLevelParams) -> np.ndarray:
-    """Qutrit family generator.
+    """Qutrit family generator gamma sum_k a_k D(lambda_k), k = 1..8.
 
-    Built through the generic Lindblad route with jump operators
-    lambda_1..lambda_8 and rates gamma * (a1..a8): transcribing the
-    closed-form display (transposes land on lambda_2, lambda_5, lambda_7)
-    is error-prone, so that display is demoted to a test cross-check.
+    The dissipators of the Gell-Mann matrices come from the generic
+    Lindblad formula, built once at import: transcribing the closed-form
+    display (transposes land on lambda_2, lambda_5, lambda_7) is
+    error-prone, so that display is demoted to a test cross-check.
+    Raises ValueError outside the CPTP domain.
     """
     report = validate_three_level(p)
     if not report.cptp_domain:
         raise ValueError("; ".join(report.violations))
-    spec = LindbladSpec(
-        hamiltonian=np.zeros((3, 3), dtype=complex),
-        jump_operators=_GELLMANN,
-        rates=tuple(p.gamma * a for a in p.coefficients),
-    )
-    return generator_from_lindblad(spec)
+    return _family_generator(p)
 
 
 def generator_of(family: KrausFamily) -> np.ndarray:

@@ -122,12 +122,6 @@ def _validity(model: str, params) -> channels.ValidityReport:
     return channels.validate_three_level(params)
 
 
-def _generator(model: str, params) -> np.ndarray:
-    if model == "two-level":
-        return channels.generator_two_level(params)
-    return channels.generator_three_level(params)
-
-
 def _params_json(model: str, params) -> dict:
     if model == "two-level":
         return {"a1": params.a1, "a2": params.a2, "a3": params.a3}
@@ -157,7 +151,7 @@ def cmd_analyze(args) -> int:
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
 
-    gen = _generator(args.model, params)
+    gen = channels._family_generator(params)
     report = analysis.spectral_report(gen)
     opt = analysis.optimality_report(gen)
 
@@ -215,7 +209,7 @@ def cmd_check_observable(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(f"cannot load observable: {exc}")
 
-    gen = _generator(args.model, params)
+    gen = channels._family_generator(params)
     basis = analysis.krylov_basis(gen, obs.matrix)
     admissible = basis.admissible
     payload = {
@@ -252,7 +246,7 @@ def cmd_reconstruct(args) -> int:
     validity = _validity(args.model, params)
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
-    gen = _generator(args.model, params)
+    gen = channels._family_generator(params)
     n = 2 if args.model == "two-level" else 3
     p_needed = n * n - 1
 
@@ -365,19 +359,30 @@ def _build_grid(spec: str, gen, p: int) -> reconstruct.TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(raw: str) -> list[float]:
-    """Either a single float or an inclusive lo:hi:step range."""
+def _parse_range(raw: str) -> tuple[float, float, int]:
+    """Either a single float or an inclusive lo:hi:step range, as
+    (lo, step, count); the values are built by :func:`_axis` only after
+    the grid size has passed the cap."""
     if ":" not in raw:
-        return [float(raw)]
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range syntax is lo:hi:step, got {raw!r}")
-    lo, hi, step = (float(x) for x in parts)
+        lo, hi, step = float(raw), float(raw), 1.0
+    else:
+        parts = raw.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"range syntax is lo:hi:step, got {raw!r}")
+        lo, hi, step = (float(x) for x in parts)
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError(f"range bounds and step must be finite, got {raw!r}")
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"range upper bound {hi} below lower bound {lo}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    span = np.floor((hi - lo) / step + 1e-9)
+    if not np.isfinite(span):
+        raise ValueError(f"range {raw!r} holds too many points")
+    return lo, step, int(span) + 1
+
+
+def _axis(lo: float, step: float, count: int) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
@@ -394,7 +399,7 @@ def _scan_point(task) -> list[str]:
     row.append("true" if validity.cptp_domain else "false")
     row.append("true" if validity.nondegenerate else "false")
     if validity.cptp_domain:
-        gen = _generator(model, params)
+        gen = channels._family_generator(params)
         report = analysis.spectral_report(gen)
         row += [str(report.eta), str(report.mu), repr(float(report.discriminant.real))]
     else:
@@ -404,24 +409,26 @@ def _scan_point(task) -> list[str]:
 
 def cmd_scan(args) -> int:
     model = args.model
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        return _fail(f"--workers must be between 1 and {cpus}, got {args.workers}")
     names = ("a1", "a2", "a3") if model == "two-level" else ("a1", "a2", "a3", "a4", "a5", "a6")
     try:
-        axes = []
+        ranges = []
         for name in names:
             raw = getattr(args, name)
             if raw is None:
                 raise ValueError(f"scan over {model} requires --{name}")
-            axes.append(_parse_range(raw))
+            ranges.append(_parse_range(raw))
     except ValueError as exc:
         return _fail(str(exc))
 
     total = 1
-    for axis in axes:
-        total *= len(axis)
-    if total == 0:
-        return _fail("empty grid")
+    for _, _, count in ranges:
+        total *= count
     if total > SCAN_POINT_CAP:
         return _fail(f"grid holds {total} points, above the {SCAN_POINT_CAP} cap")
+    axes = [_axis(*r) for r in ranges]
 
     tasks = []
     indices = [0] * len(axes)
@@ -532,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("a1", "a2", "a3", "a4", "a5", "a6"):
         p_scan.add_argument(f"--{name}", help=f"{name} value or lo:hi:step range")
     p_scan.add_argument("--gamma", type=float, default=1.0)
-    p_scan.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    p_scan.add_argument(
+        "--workers", type=int, default=1, help="parallel workers, 1 to the CPU count (default 1)"
+    )
     p_scan.add_argument("--output", help="write CSV here instead of stdout")
     p_scan.set_defaults(func=cmd_scan)
 

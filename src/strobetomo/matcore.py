@@ -20,6 +20,11 @@ Conventions fixed once and for all:
 
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
+
+``scipy.linalg`` is imported on the first call of :func:`expm_apply` or
+:func:`rank_with_tol`, the only two users of it, so importing the package
+(and the spectral reports, which use numpy alone) does not pay its import
+cost.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "ConditioningError",
@@ -232,6 +236,8 @@ def expm_apply(m, t: float, v) -> np.ndarray:
         raise ValueError(f"dimension mismatch: matrix {m.shape}, vector {v.shape}")
     if t == 0:
         return v.copy()
+    import scipy.linalg
+
     out = scipy.linalg.expm(m * t) @ v
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("matrix exponential produced non-finite entries")
@@ -264,6 +270,8 @@ def rank_with_tol(vectors, tol: float | None = None) -> int:
             cols.append(v / norm)
     if not cols:
         return 0
+    import scipy.linalg
+
     a = np.column_stack(cols)
     r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
     diag = np.abs(np.diag(r))

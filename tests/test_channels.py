@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strobetomo import matcore
 from strobetomo.channels import (
@@ -224,6 +226,70 @@ class TestGenerators:
                 jump_operators=(pauli(1),),
                 rates=(-0.5,),
             )
+
+
+unit = st.floats(0.0, 1.0)
+gammas = st.floats(0.1, 4.0)
+
+
+@st.composite
+def two_level_points(draw):
+    """(a1, a2, a3) in the CPTP domain: weights scaled to a total < 1."""
+    w = np.array([draw(unit) for _ in range(3)]) + 1e-3
+    return tuple(float(x) for x in w / w.sum() * 0.999 * draw(unit))
+
+
+@st.composite
+def three_level_points(draw):
+    """(a1..a6) in the CPTP domain: a4 + a5 <= a1 + a2 + a3 keeps a8 >= 0,
+    a6 <= a4 + a5 keeps a7 >= 0, and a1, a2, a3 <= 0.16 keeps f <= 0.96."""
+    a1, a2, a3 = (0.16 * draw(unit) for _ in range(3))
+    s3 = a1 + a2 + a3
+    a4, a5 = (draw(unit) * s3 / 2 for _ in range(2))
+    a6 = draw(unit) * (a4 + a5)
+    return (a1, a2, a3, a4, a5, a6)
+
+
+def lindblad_route(ops, coefficients, gamma):
+    n = ops[0].shape[0]
+    spec = LindbladSpec(
+        hamiltonian=np.zeros((n, n)),
+        jump_operators=ops,
+        rates=tuple(gamma * a for a in coefficients),
+    )
+    return generator_from_lindblad(spec)
+
+
+class TestGeneratorProperties:
+    """Both family generators, gamma sum_k a_k D(B_k) over the dissipator
+    stacks, against the generic Lindblad route on random in-domain points."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=two_level_points(), gamma=gammas)
+    def test_two_level_matches_lindblad_route(self, a, gamma):
+        p = TwoLevelParams(*a, gamma=gamma)
+        ops = tuple(pauli(k) for k in (1, 2, 3))
+        expected = lindblad_route(ops, p.coefficients, gamma)
+        np.testing.assert_allclose(generator_two_level(p), expected, rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=three_level_points(), gamma=gammas)
+    def test_three_level_matches_lindblad_route(self, a, gamma):
+        p = ThreeLevelParams(*a, gamma=gamma)
+        assert validate_three_level(p).cptp_domain
+        ops = tuple(gellmann(k) for k in range(1, 9))
+        expected = lindblad_route(ops, p.coefficients, gamma)
+        np.testing.assert_allclose(generator_three_level(p), expected, rtol=0, atol=1e-14)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a2=two_level_points(), a3=three_level_points(), gamma=gammas)
+    def test_generators_are_exactly_real_symmetric(self, a2, a3, gamma):
+        for gen in (
+            generator_two_level(TwoLevelParams(*a2, gamma=gamma)),
+            generator_three_level(ThreeLevelParams(*a3, gamma=gamma)),
+        ):
+            assert np.array_equal(gen, gen.T)
+            assert np.all(gen.imag == 0)
 
 
 class TestClosedFormSpectra:

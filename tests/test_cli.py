@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strobetomo import cli
 from strobetomo.cli import main, matrix_from_json, matrix_to_json
@@ -286,7 +289,8 @@ class TestScan:
         paths = [str(tmp_path / f"scan{i}.csv") for i in range(3)]
         assert main(self.GRID_ARGS + ["--output", paths[0]]) == 0
         assert main(self.GRID_ARGS + ["--output", paths[1]]) == 0
-        assert main(self.GRID_ARGS + ["--workers", "2", "--output", paths[2]]) == 0
+        workers = str(min(2, os.cpu_count() or 1))
+        assert main(self.GRID_ARGS + ["--workers", workers, "--output", paths[2]]) == 0
         blobs = [open(p, "rb").read() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]
 
@@ -306,6 +310,42 @@ class TestScan:
         )
         assert code == 1
         assert "cap" in capsys.readouterr().err
+
+    def test_point_cap_is_checked_before_the_axes_are_built(self, capsys, monkeypatch):
+        """1e10 + 1 values on one axis are refused from the counts alone."""
+
+        def build_axis(*args):
+            raise AssertionError("axis built before the cap check")
+
+        monkeypatch.setattr(cli, "_axis", build_axis)
+        code = main(
+            ["scan", "--model", "two-level", "--a1", "0:1e-300:1e-310", "--a2", "0.2", "--a3", "0.3"]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "10000000001 points" in err and "cap" in err
+
+    @pytest.mark.parametrize("raw", ["0:1e300:1e-300", "nan", "0:inf:0.1", "0:1:nan"])
+    def test_non_finite_range_exits_1(self, capsys, raw):
+        code = main(["scan", "--model", "two-level", "--a1", raw, "--a2", "0.2", "--a3", "0.3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", [-1, 0, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_exit_1(self, capsys, monkeypatch, workers):
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code = main(self.GRID_ARGS + ["--workers", str(workers)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: --workers") and captured.err.count("\n") == 1
 
     def test_empty_range_exits_1(self, capsys):
         code = main(
@@ -333,6 +373,43 @@ class TestScan:
         # a6 = 0.065 = (a4+a5)/2 is the degenerate midpoint; 0.04/0.06/0.08 are not on it
         for line in lines[1:]:
             assert line.split(",")[7] != "0.0"
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    lows=st.tuples(
+        *[st.floats(0.05, 0.15)] * 3, *[st.floats(0.02, 0.06)] * 2, st.floats(0.0, 0.01)
+    ),
+    step=st.floats(0.002, 0.01),
+    gamma=st.floats(0.5, 2.0),
+)
+def test_qutrit_scan_agrees_with_analyze(lows, step, gamma):
+    """Every row of a 2 x 2 x 2 qutrit scan (a4, a5, a6 varied; all in the
+    CPTP domain by construction) carries the eta, mu and discriminant that
+    analyze reports for the same point."""
+    argv = ["scan", "--model", "three-level", "--gamma", repr(gamma)]
+    for i, lo in enumerate(lows):
+        argv += [f"--a{i + 1}", repr(lo) if i < 3 else f"{lo!r}:{lo + 1.5 * step!r}:{step!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        scan_csv = os.path.join(tmp, "scan.csv")
+        report = os.path.join(tmp, "analyze.json")
+        assert main(argv + ["--output", scan_csv]) == 0
+        with open(scan_csv) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert len(rows) == 8
+        for row in rows:
+            assert row[6] == "true"
+            params = ",".join(row[:6])
+            code = main(
+                ["analyze", "--model", "three-level", "--params", params,
+                 "--gamma", repr(gamma), "--output", report]
+            )
+            assert code in (0, 2)
+            with open(report) as fh:
+                spectral = json.load(fh)["spectral"]
+            assert int(row[8]) == spectral["eta"]
+            assert int(row[9]) == spectral["mu"]
+            assert float(row[10]) == spectral["discriminant"][0]
 
 
 class TestSchemaRoundTrips:
@@ -378,3 +455,34 @@ def test_python_m_strobetomo_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["optimality"]["optimal"] is True
+
+
+def test_scipy_loads_only_where_it_is_used(tmp_path):
+    """Importing the package, analyze and scan leave scipy.linalg unloaded;
+    reconstruct loads it on first use of the matrix exponential."""
+    rho = write_matrix(tmp_path / "rho.json", [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+    script = f"""
+import sys
+import strobetomo
+from strobetomo.cli import main
+assert "scipy.linalg" not in sys.modules, "import"
+assert main(["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3",
+             "--output", {str(tmp_path / "analyze.json")!r}]) == 0
+assert main(["scan", "--model", "three-level", "--a1", "0.1", "--a2", "0.15",
+             "--a3", "0.2", "--a4", "0.05", "--a5", "0.08", "--a6", "0.04:0.08:0.02",
+             "--output", {str(tmp_path / "scan.csv")!r}]) == 0
+assert "scipy.linalg" not in sys.modules, "analyze or scan"
+assert main(["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.3",
+             "--observable-seed", "5", "--rho0", {rho!r},
+             "--output", {str(tmp_path / "reconstruct.json")!r}]) == 0
+assert "scipy.linalg" in sys.modules, "reconstruct"
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads((tmp_path / "reconstruct.json").read_text())
+    assert payload["frobenius_error"] < 1e-8

@@ -36,8 +36,22 @@ RHO_2 = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
 Q_2 = np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])  # (A,B,C,D) = (1,0,1,1)
 
 # Qubit points (gamma = 1) whose default horizon T is not recovered as
-# 3 * T / 3: that quotient rounds one ulp above T.
+# 3 * T / 3: that quotient rounds one ulp above T.  Whether it does hangs
+# on the last bits of the generator's eigenvalues; these six came from a
+# seeded search (Dirichlet draws, seed 2026) under the dissipator-stack
+# generators.
 ROUNDING_HORIZON_POINTS = (
+    (0.31060205142567426, 0.20913680513889477, 0.06492444278046527),
+    (0.3234949257999031, 0.21091392236528683, 0.3028001204628041),
+    (0.01701812989457538, 0.051065830535631, 0.20854911807518017),
+    (0.28130787549150865, 0.3384725022812794, 0.31228439443137684),
+    (0.4073044140030302, 0.27814581088663043, 0.2511533164626372),
+    (0.16476133346437385, 0.3090292560996067, 0.3421320375847499),
+)
+
+# The rounding-horizon points of the closed-form (np.kron) generators, kept
+# as plain exact round trips.
+FORMER_ROUNDING_HORIZON_POINTS = (
     (0.5060275912134737, 0.016167606158652006, 0.2384854486110743),
     (0.0636249281711857, 0.591446624969274, 0.029604748639981415),
     (0.21714891786285906, 0.008191700567180327, 0.5051713764129117),
@@ -51,6 +65,14 @@ def random_density(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def assert_exact_round_trip(gen, grid, obs_seed, rng):
+    obs = random_admissible_observable(gen, obs_seed)
+    rho = random_density(rng, 2)
+    records = simulate_records(gen, obs.matrix, rho, grid, "exact")
+    result = execute(plan(gen, obs, grid), records)
+    assert np.linalg.norm(result.estimate - rho) < 1e-8
 
 
 class TestTimeGrid:
@@ -86,11 +108,15 @@ class TestTimeGrid:
             grid = default_time_grid(gen, 3)
             assert 3 * grid.horizon / 3 > grid.horizon
             assert grid.instants[-1] == grid.horizon
-            obs = random_admissible_observable(gen, i)
-            rho = random_density(rng, 2)
-            records = simulate_records(gen, obs.matrix, rho, grid, "exact")
-            result = execute(plan(gen, obs, grid), records)
-            assert np.linalg.norm(result.estimate - rho) < 1e-8
+            assert_exact_round_trip(gen, grid, i, rng)
+
+    def test_exact_round_trip_at_former_rounding_points(self):
+        rng = np.random.default_rng(35)
+        for i, a in enumerate(FORMER_ROUNDING_HORIZON_POINTS):
+            gen = generator_two_level(TwoLevelParams(*a, gamma=1.0))
+            grid = default_time_grid(gen, 3)
+            assert grid.instants[-1] == grid.horizon
+            assert_exact_round_trip(gen, grid, i, rng)
 
     def test_default_grid_rejects_degenerate_generator(self):
         gen = generator_two_level(TwoLevelParams(0.2, 0.2, 0.3, gamma=1.0))
