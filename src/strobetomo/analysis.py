@@ -12,8 +12,9 @@ Three equivalent certificates are wired together here and cross-reported:
 * the discriminant D = prod_{i<j} (lambda_i - lambda_j)^2, nonzero exactly
   when the spectrum is simple (simple spectrum => nonderogatory => eta = 1
   for diagonalizable generators);
-* the minimal-polynomial degree mu, computed by rank growth of the matrix
-  powers {I, L, L^2, ...}.
+* the minimal-polynomial degree mu, the sum of the eigenvalue indices read
+  off the same clustered eigendecomposition (for a diagonalizable
+  generator, the number of distinct eigenvalues).
 
 For a nonderogatory n^2 x n^2 generator mu equals n^2.  A widely quoted
 variant of this equivalence states mu = n^2 - 1 instead; that value is
@@ -147,9 +148,9 @@ class SpanReport:
 class OptimalityReport:
     """Cross-checked optimality certificates for a generator.
 
-    ``optimal`` is the operative verdict (eta = 1).  ``mu`` is measured by
-    rank growth; ``mu_nonderogatory`` (= n^2) is the value implied by a
-    simple spectrum, while ``mu_alternative_claim`` (= n^2 - 1) is a
+    ``optimal`` is the operative verdict (eta = 1).  ``mu`` is the sum of
+    the eigenvalue indices; ``mu_nonderogatory`` (= n^2) is the value
+    implied by a simple spectrum, while ``mu_alternative_claim`` (= n^2 - 1) is a
     reference value sometimes quoted for the same equivalence; any
     disagreement between the measured mu and either reference is spelled
     out in ``notes``.
@@ -167,11 +168,9 @@ class OptimalityReport:
 
 
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
-    """Spectrum, index of cyclicity, min-poly degree and discriminant."""
-    gen = np.asarray(gen, dtype=complex)
+    """Spectrum, index of cyclicity, min-poly degree and discriminant, all
+    from one clustered eigendecomposition."""
     spectrum = matcore.eig(gen, tol=tol)
-    eta = spectrum.max_geometric_multiplicity
-    mu = _min_poly_degree(gen, tol=tol)
 
     disc = complex(1.0)
     reps = [c[0] for c in spectrum.clusters for _ in range(c[1])]
@@ -181,45 +180,11 @@ def spectral_report(gen, tol: float | None = None) -> SpectralReport:
 
     return SpectralReport(
         spectrum=spectrum,
-        eta=eta,
-        mu=mu,
+        eta=spectrum.max_geometric_multiplicity,
+        mu=spectrum.min_poly_degree,
         discriminant=disc,
-        tolerance=tol if tol is not None else matcore.default_rank_tol(),
+        tolerance=spectrum.tolerance,
     )
-
-
-def _min_poly_degree(gen: np.ndarray, tol: float | None = None) -> int:
-    """Degree of the minimal polynomial via rank growth of matrix powers.
-
-    mu is the smallest m for which {I, L, ..., L^m} is linearly dependent.
-    The dependence test runs as progressive orthogonalization (twice, for
-    numerical hygiene) against the span accumulated so far: the fraction of
-    L^m left after projecting out span{I, ..., L^{m-1}} is compared with
-    the rank tolerance.  This measures the same rank as an SVD of the
-    stacked powers but does not inherit the (squared) ill-conditioning of
-    the raw power basis, which otherwise hides genuinely new directions of
-    closely clustered spectra behind the tolerance.
-    """
-    if tol is None:
-        tol = matcore.default_rank_tol()
-    dim = gen.shape[0]
-    power = np.eye(dim, dtype=complex)
-    basis: list[np.ndarray] = []
-    for m in range(dim + 1):
-        v = vec(power)
-        norm_in = np.linalg.norm(v)
-        if norm_in == 0:  # gen = 0 and m >= 1
-            return m
-        for q in basis:
-            v = v - np.vdot(q, v) * q
-        for q in basis:  # second pass: re-orthogonalize
-            v = v - np.vdot(q, v) * q
-        norm_out = np.linalg.norm(v)
-        if norm_out <= tol * norm_in:
-            return m
-        basis.append(v / norm_out)
-        power = power @ gen
-    return dim  # unreachable: dependence must occur by m = dim
 
 
 def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
@@ -327,7 +292,9 @@ def two_level_admissible(q, tol: float = 1e-12) -> bool:
     )
 
 
-def random_admissible_observable(gen, seed, *, tries: int = 100) -> ObservableSpec:
+def random_admissible_observable(
+    gen, seed, *, tries: int = 100, tol: float | None = None
+) -> ObservableSpec:
     """Draw a random Hermitian observable passing the span check.
 
     Deterministic for a fixed seed.  For qubits the closed-form fields are
@@ -351,7 +318,7 @@ def random_admissible_observable(gen, seed, *, tries: int = 100) -> ObservableSp
         else:
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q = (x + x.conj().T) / 2.0
-        if span_check(gen, q):
+        if span_check(gen, q, tol=tol):
             return ObservableSpec.from_matrix(q)
     raise ValueError(
         f"no admissible observable found in {tries} tries; either the "

@@ -224,10 +224,11 @@ class ValidityReport:
 
 
 def _pairwise_distinct(values, scale: float) -> bool:
-    v = np.asarray(values, dtype=float)
-    diffs = np.abs(v[:, None] - v[None, :])
-    iu = np.triu_indices(v.size, 1)
-    return bool(np.min(diffs[iu]) > _DISTINCT_RTOL * max(scale, 1e-300))
+    """Smallest pairwise gap above ``_DISTINCT_RTOL * scale``.  Rounded
+    subtraction is monotone, so the smallest gap is between sorted
+    neighbours."""
+    v = sorted(map(float, values))
+    return bool(min(b - a for a, b in zip(v, v[1:])) > _DISTINCT_RTOL * max(scale, 1e-300))
 
 
 def validate_two_level(p: TwoLevelParams) -> ValidityReport:

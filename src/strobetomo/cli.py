@@ -16,9 +16,9 @@ with ROW-MAJOR data order (serialization order is deliberately independent
 of the column-major vec convention used internally).  Measurement CSVs use
 the ``t,value,shots`` layout of :mod:`strobetomo.reconstruct`.
 
-The ``STROBE_TOL`` environment variable overrides the default relative
-rank tolerance (1e-9) everywhere; the ``--tol`` flag overrides both for a
-single invocation.
+The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
+one invocation; it must be finite and positive.  It is passed explicitly to
+every spectral, span and planning call the subcommand makes.
 """
 
 from __future__ import annotations
@@ -131,10 +131,14 @@ def _params_json(model: str, params) -> dict:
     return out
 
 
-def _load_observable(path: str) -> analysis.ObservableSpec:
+def _load_observable(path: str, model: str) -> analysis.ObservableSpec:
     with open(path) as fh:
         obj = json.load(fh)
-    return analysis.ObservableSpec.from_matrix(matrix_from_json(obj))
+    obs = analysis.ObservableSpec.from_matrix(matrix_from_json(obj))
+    n = 2 if model == "two-level" else 3
+    if obs.dim != n:
+        raise ValueError(f"the {model} model needs a {n}x{n} observable, got {obs.dim}x{obs.dim}")
+    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +156,8 @@ def cmd_analyze(args) -> int:
         return _fail("; ".join(validity.violations))
 
     gen = channels._family_generator(params)
-    report = analysis.spectral_report(gen)
-    opt = analysis.optimality_report(gen)
+    report = analysis.spectral_report(gen, tol=args.tol)
+    opt = analysis.optimality_report(gen, tol=args.tol)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -205,12 +209,12 @@ def cmd_check_observable(args) -> int:
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
     try:
-        obs = _load_observable(args.observable)
+        obs = _load_observable(args.observable, args.model)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(f"cannot load observable: {exc}")
 
     gen = channels._family_generator(params)
-    basis = analysis.krylov_basis(gen, obs.matrix)
+    basis = analysis.krylov_basis(gen, obs.matrix, tol=args.tol)
     admissible = basis.admissible
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -261,9 +265,9 @@ def cmd_reconstruct(args) -> int:
     # Observable: file wins over seed.
     try:
         if args.observable:
-            obs = _load_observable(args.observable)
+            obs = _load_observable(args.observable, args.model)
         elif args.observable_seed is not None:
-            obs = analysis.random_admissible_observable(gen, args.observable_seed)
+            obs = analysis.random_admissible_observable(gen, args.observable_seed, tol=args.tol)
         else:
             return _fail("provide --observable FILE or --observable-seed SEED")
     except (OSError, json.JSONDecodeError, ValueError) as exc:
@@ -290,7 +294,7 @@ def cmd_reconstruct(args) -> int:
                 shots = int(args.shots)
                 if args.seed is None:
                     return _fail("finite shot counts require --seed for reproducibility")
-            grid = _build_grid(args.grid, gen, p_needed)
+            grid = _build_grid(args.grid, gen, p_needed, args.tol)
             records = reconstruct.simulate_records(
                 gen, obs.matrix, truth, grid, shots, seed=args.seed
             )
@@ -307,7 +311,7 @@ def cmd_reconstruct(args) -> int:
         return _fail(str(exc))
 
     try:
-        plan_ = reconstruct.plan(gen, obs, grid)
+        plan_ = reconstruct.plan(gen, obs, grid, tol=args.tol)
     except matcore.ConditioningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
@@ -347,9 +351,9 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _build_grid(spec: str, gen, p: int) -> reconstruct.TimeGrid:
+def _build_grid(spec: str, gen, p: int, tol: float) -> reconstruct.TimeGrid:
     if spec == "default":
-        return reconstruct.default_time_grid(gen, p)
+        return reconstruct.default_time_grid(gen, p, tol=tol)
     instants = tuple(float(x) for x in spec.split(",") if x.strip() != "")
     return reconstruct.TimeGrid(instants=instants, horizon=max(instants))
 
@@ -388,7 +392,7 @@ def _axis(lo: float, step: float, count: int) -> list[float]:
 
 def _scan_point(task) -> list[str]:
     """One CSV row; returns strings so formatting is fixed at the worker."""
-    model, values, gamma = task
+    model, values, gamma, tol = task
     if model == "two-level":
         params = channels.TwoLevelParams(*values, gamma=gamma)
         validity = channels.validate_two_level(params)
@@ -400,7 +404,7 @@ def _scan_point(task) -> list[str]:
     row.append("true" if validity.nondegenerate else "false")
     if validity.cptp_domain:
         gen = channels._family_generator(params)
-        report = analysis.spectral_report(gen)
+        report = analysis.spectral_report(gen, tol=tol)
         row += [str(report.eta), str(report.mu), repr(float(report.discriminant.real))]
     else:
         row += ["", "", ""]
@@ -435,7 +439,7 @@ def cmd_scan(args) -> int:
     # Lexicographic order over grid indices, last axis fastest.
     while True:
         values = tuple(axes[i][indices[i]] for i in range(len(axes)))
-        tasks.append((model, values, args.gamma))
+        tasks.append((model, values, args.gamma, args.tol))
         for i in reversed(range(len(axes))):
             indices[i] += 1
             if indices[i] < len(axes[i]):
@@ -488,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="relative rank tolerance (overrides STROBE_TOL; default 1e-9)",
+        default=matcore.DEFAULT_RANK_TOL,
+        help="relative rank tolerance, finite and positive (default 1e-9)",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -550,21 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    previous = os.environ.get("STROBE_TOL")
-    if args.tol is not None:
-        if args.tol <= 0:
-            return _fail(f"--tol must be positive, got {args.tol}")
-        os.environ["STROBE_TOL"] = repr(args.tol)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        return _fail(f"--tol must be finite and positive, got {args.tol}")
     try:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_INPUT
-    finally:
-        if args.tol is not None:  # keep the override scoped to this invocation
-            if previous is None:
-                os.environ.pop("STROBE_TOL", None)
-            else:
-                os.environ["STROBE_TOL"] = previous
 
 
 if __name__ == "__main__":

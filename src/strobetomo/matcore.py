@@ -11,11 +11,11 @@ Conventions fixed once and for all:
   ``vec(X @ Y @ Z) == np.kron(Z.T, X) @ vec(Y)``.  Row-major stacking breaks
   that identity, and with it every generator built in :mod:`.channels`.
 * Numerical rank uses a *relative* singular-value cutoff, default
-  ``1e-9`` times the largest singular value (overridable per call, or
-  globally through the ``STROBE_TOL`` environment variable).
+  ``1e-9`` times the largest singular value; every function taking a
+  ``tol`` argument reads ``None`` as that default.
 * Eigenvalues are reported sorted by (real, imaginary) part, and values
   within ``1e-8`` of each other relative to the spectral diameter are
-  clustered before geometric multiplicities are computed: numerical
+  clustered before multiplicities and indices are computed: numerical
   eigensolvers never return exactly equal values for a degenerate pair.
 
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
@@ -29,8 +29,7 @@ cost.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "NumericalFailure",
     "Spectrum",
     "SolveResult",
-    "default_rank_tol",
     "as_matrix",
     "vec",
     "unvec",
@@ -77,18 +75,13 @@ class NumericalFailure(RuntimeError):
     non-finite output; the computation cannot be silently degraded."""
 
 
-def default_rank_tol() -> float:
-    """Relative rank tolerance, honouring the ``STROBE_TOL`` env var."""
-    raw = os.environ.get("STROBE_TOL")
-    if raw is None:
+def _rank_tol(tol: float | None) -> float:
+    """``tol``, or :data:`DEFAULT_RANK_TOL` for ``None``; finite and > 0."""
+    if tol is None:
         return DEFAULT_RANK_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"STROBE_TOL must be a float, got {raw!r}") from exc
-    if tol <= 0:
-        raise ValueError(f"STROBE_TOL must be positive, got {tol}")
-    return tol
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"rank tolerance must be finite and positive, got {tol}")
+    return float(tol)
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -140,14 +133,14 @@ class Spectrum:
     ``eigenvalues`` lists all values (algebraic multiplicity), sorted by
     (real, imaginary).  ``clusters`` groups numerically coincident values:
     one ``(representative, algebraic, geometric)`` triple per cluster, in
-    the same ordering.  ``geometric`` per eigenvalue is exposed through
-    :attr:`geometric_multiplicities`, aligned with ``eigenvalues``.
+    the same ordering.  ``min_poly_degree`` is the degree of the minimal
+    polynomial: the sum over clusters of the eigenvalue's index.
     """
 
     eigenvalues: np.ndarray
     clusters: tuple[tuple[complex, int, int], ...]
     tolerance: float
-    geometric_multiplicities: np.ndarray = field(repr=False)
+    min_poly_degree: int
 
     @property
     def dim(self) -> int:
@@ -173,19 +166,31 @@ def _cluster_indices(values: np.ndarray, tol_abs: float) -> list[list[int]]:
     return groups
 
 
+def _nullity(m: np.ndarray, tol: float, tol_abs: float) -> int:
+    """Numerical null-space dimension: singular values at or below
+    ``max(tol * sigma_max, tol_abs)``, or all of them when ``m`` is zero."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[0] == 0:
+        return sv.size
+    return int(np.sum(sv <= max(tol * sv[0], tol_abs)))
+
+
 def eig(m, tol: float | None = None) -> Spectrum:
-    """Full spectrum with clustered geometric multiplicities.
+    """Full spectrum with clustered multiplicities and indices.
 
     Eigenvalues are sorted by (real, imaginary) part.  Values within
     ``CLUSTER_TOL`` x spectral diameter are treated as one degenerate
-    cluster; the geometric multiplicity of each cluster is the numerical
-    null-space dimension of ``m - lambda I`` at the given rank tolerance.
+    cluster of algebraic multiplicity ``a``.  Its geometric multiplicity is
+    the numerical nullity of ``m - lambda I`` at the given rank tolerance;
+    its index is the smallest k >= 1 at which the nullity of
+    ``(m - lambda I)^k`` reaches ``a``.  Clusters with geometric = algebraic
+    multiplicity (every cluster of a diagonalizable ``m``) have index 1 and
+    take no power beyond the first.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"eig requires a square matrix, got shape {m.shape}")
-    if tol is None:
-        tol = default_rank_tol()
+    tol = _rank_tol(tol)
     try:
         values = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -199,25 +204,25 @@ def eig(m, tol: float | None = None) -> Spectrum:
     dim = m.shape[0]
 
     clusters: list[tuple[complex, int, int]] = []
-    geo = np.empty(dim, dtype=int)
+    mu = 0
     for group in _cluster_indices(values, tol_abs):
         rep = complex(np.mean(values[group]))
+        alg = len(group)
         shifted = m - rep * np.eye(dim)
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        if sv[0] == 0:  # m is exactly rep * I
-            nullity = dim
-        else:
-            cutoff = max(tol * sv[0], tol_abs)
-            nullity = int(np.sum(sv <= cutoff))
-        nullity = max(1, min(nullity, len(group)))
-        clusters.append((rep, len(group), nullity))
-        geo[group] = nullity
+        geo = max(1, min(_nullity(shifted, tol, tol_abs), alg))
+        index, nullity, power = 1, geo, shifted
+        while nullity < alg and index < alg:  # defective cluster: raise the power
+            index += 1
+            power = power @ shifted
+            nullity = _nullity(power, tol, tol_abs)
+        clusters.append((rep, alg, geo))
+        mu += index
 
     return Spectrum(
         eigenvalues=values,
         clusters=tuple(clusters),
         tolerance=tol,
-        geometric_multiplicities=geo,
+        min_poly_degree=mu,
     )
 
 
@@ -258,10 +263,7 @@ def rank_with_tol(vectors, tol: float | None = None) -> int:
     vectors = list(vectors)
     if not vectors:
         raise ValueError("rank_with_tol requires at least one vector")
-    if tol is None:
-        tol = default_rank_tol()
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = _rank_tol(tol)
     cols = []
     for v in vectors:
         v = np.asarray(v, dtype=complex).ravel()

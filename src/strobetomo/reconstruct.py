@@ -69,6 +69,8 @@ class TimeGrid:
         ts = tuple(float(t) for t in self.instants)
         if not ts:
             raise ValueError("time grid must contain at least one instant")
+        if not np.isfinite(ts + (self.horizon,)).all():
+            raise ValueError("instants and horizon must be finite")
         if ts[0] <= 0:
             raise ValueError(f"instants must be positive, got t_1 = {ts[0]}")
         if any(b <= a for a, b in zip(ts, ts[1:])):
@@ -307,7 +309,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
         reduced_matrix=reduced,
         forward_matrix=forward,
         condition_reduced=cond_reduced,
-        tolerance=tol if tol is not None else matcore.default_rank_tol(),
+        tolerance=report.tolerance,
     )
 
 

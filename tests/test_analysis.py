@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from strobetomo.analysis import (
     ObservableSpec,
@@ -14,9 +16,12 @@ from strobetomo.analysis import (
 from strobetomo.channels import (
     ThreeLevelParams,
     TwoLevelParams,
+    closed_form_spectrum_three_level,
+    closed_form_spectrum_two_level,
     generator_three_level,
     generator_two_level,
     pauli,
+    validate_three_level,
 )
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
@@ -32,6 +37,53 @@ GEN_3_SPREAD = generator_three_level(
 
 def qubit_observable(a, b, c, d):
     return np.array([[a, c + 1j * d], [c - 1j * d, b]], dtype=complex)
+
+
+def jordan(*blocks):
+    """Block-diagonal matrix of Jordan blocks, each given as (value, size)."""
+    dim = sum(size for _, size in blocks)
+    m = np.zeros((dim, dim))
+    i = 0
+    for value, size in blocks:
+        m[i:i + size, i:i + size] = value * np.eye(size) + np.eye(size, k=1)
+        i += size
+    return m
+
+
+# Coefficients on a 1/1024 lattice (with gamma a power of two) make every
+# closed-form eigenvalue exact, so ties in the closed form are exact ties
+# and distinct values are at least 1/1024 apart.
+LATTICE = 1024.0
+gammas = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@st.composite
+def lattice_two_level(draw):
+    """(a1, a2, a3) >= 0 with sum <= 1; ties are forced one draw in three."""
+    k = [draw(st.integers(0, 341)) for _ in range(3)]
+    tie = draw(st.sampled_from([None, None, (0, 1), (0, 2), (1, 2)]))
+    if tie:
+        k[tie[1]] = k[tie[0]]
+    return tuple(x / LATTICE for x in k)
+
+
+@st.composite
+def lattice_three_level(draw):
+    """(a1..a6) in the CPTP domain (a1..a3 <= 0.16, a4 + a5 <= a1 + a2 +
+    a3, a6 <= a4 + a5); about one draw in two forces a tie."""
+    k = [draw(st.integers(0, 160)) for _ in range(3)]
+    k += [draw(st.integers(0, sum(k) // 2)) for _ in range(2)]
+    k.append(draw(st.integers(0, k[3] + k[4])))
+    tie = draw(st.sampled_from([None, (0, 1), (1, 2), (3, 4), (3, 5), (4, 5)]))
+    if tie:
+        k[tie[1]] = k[tie[0]]
+    return tuple(x / LATTICE for x in k)
+
+
+def closed_form_counts(values):
+    """(largest multiplicity, number of distinct values) of exact values."""
+    counts = np.unique(values, return_counts=True)[1]
+    return int(counts.max()), counts.size
 
 
 class TestObservableSpec:
@@ -79,6 +131,49 @@ class TestSpectralReport:
         report = spectral_report(np.zeros((4, 4)))
         assert report.eta == 4
         assert report.mu == 1
+
+    def test_mu_of_defective_jordan_inputs(self):
+        """mu sums the eigenvalue indices: the size of the largest Jordan
+        block of each eigenvalue."""
+        report = spectral_report(jordan((-1.0, 3), (-2.0, 1)))
+        assert (report.eta, report.mu) == (1, 4)
+        report = spectral_report(jordan((-1.0, 2), (-1.0, 2)))
+        assert (report.eta, report.mu) == (2, 2)
+        report = spectral_report(jordan((-1.0, 3), (-1.0, 1)))
+        assert (report.eta, report.mu) == (2, 3)
+
+    def test_simple_spectrum_with_a_small_vandermonde_share(self):
+        """A simple qutrit spectrum whose ninth power of L keeps only ~3e-10
+        of its norm outside the lower powers still has mu = n^2 = 9."""
+        gen = generator_three_level(
+            ThreeLevelParams(0.0428, 0.0925, 0.0759, 0.0648, 0.0872, 0.0692)
+        )
+        report = optimality_report(gen)
+        assert report.optimal
+        assert report.mu == 9
+        assert report.criteria_agree
+        assert report.notes == (
+            "measured mu = 9 equals n^2 = 9, not the alternative reference value "
+            "n^2 - 1 = 8; the n^2 - 1 identity is inconsistent with a "
+            "nonderogatory generator",
+        )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(a=lattice_two_level(), gamma=gammas)
+    def test_two_level_indices_match_closed_form(self, a, gamma):
+        p = TwoLevelParams(*a, gamma=gamma)
+        report = spectral_report(generator_two_level(p))
+        eta, distinct = closed_form_counts(closed_form_spectrum_two_level(p))
+        assert (report.eta, report.mu) == (eta, distinct)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(a=lattice_three_level(), gamma=gammas)
+    def test_three_level_indices_match_closed_form(self, a, gamma):
+        p = ThreeLevelParams(*a, gamma=gamma)
+        assume(validate_three_level(p).cptp_domain)
+        report = spectral_report(generator_three_level(p))
+        eta, distinct = closed_form_counts(closed_form_spectrum_three_level(p))
+        assert (report.eta, report.mu) == (eta, distinct)
 
 
 class TestOptimalityReport:

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from strobetomo import matcore
 from strobetomo.channels import (
+    _DISTINCT_RTOL,
+    _pairwise_distinct,
     LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
@@ -290,6 +292,37 @@ class TestGeneratorProperties:
         ):
             assert np.array_equal(gen, gen.T)
             assert np.all(gen.imag == 0)
+
+
+def full_table_distinct(values, scale):
+    """Smallest of all pairwise gaps, from the full difference table."""
+    v = np.asarray(values, dtype=float)
+    diffs = np.abs(v[:, None] - v[None, :])
+    return bool(np.min(diffs[np.triu_indices(v.size, 1)]) > _DISTINCT_RTOL * max(scale, 1e-300))
+
+
+@st.composite
+def near_tied_values(draw):
+    """3 or 8 finite floats, some of them repeated or one ulp apart."""
+    size = draw(st.sampled_from([3, 8]))
+    values = [draw(st.floats(-1e3, 1e3)) for _ in range(size)]
+    for i in range(1, size):
+        kind = draw(st.sampled_from(["free", "free", "tie", "ulp", "near"]))
+        j = draw(st.integers(0, i - 1))
+        if kind == "tie":
+            values[i] = values[j]
+        elif kind == "ulp":
+            values[i] = float(np.nextafter(values[j], np.inf))
+        elif kind == "near":
+            values[i] = values[j] + draw(st.floats(-1e-5, 1e-5)) * max(abs(values[j]), 1.0)
+    return values
+
+
+class TestPairwiseDistinct:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(values=near_tied_values(), scale=st.floats(0.0, 1e4))
+    def test_matches_full_difference_table(self, values, scale):
+        assert _pairwise_distinct(values, scale) == full_table_distinct(values, scale)
 
 
 class TestClosedFormSpectra:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strobetomo import cli
+from strobetomo import cli, matcore
 from strobetomo.cli import main, matrix_from_json, matrix_to_json
 
 WORKED_ARGS = ["--model", "two-level", "--params", "0.1,0.2,0.3", "--gamma", "1.0"]
@@ -24,6 +24,16 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+def assert_one_line_error(capsys, code):
+    """Exit 1 with a single ``error:`` line on stderr and nothing on stdout."""
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
 
 
 class TestMatrixJson:
@@ -90,14 +100,14 @@ class TestAnalyze:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["spectral"]["eta"] == 1
 
-    def test_tol_flag_is_scoped(self, capsys, monkeypatch):
-        monkeypatch.delenv("STROBE_TOL", raising=False)
+    def test_tol_flag_is_scoped(self, capsys):
+        environ = dict(os.environ)
         code, payload = run_json(capsys, ["--tol", "1e-6", "analyze", *WORKED_ARGS])
         assert code == 0
         assert payload["spectral"]["tolerance"] == 1e-6
-        import os
-
-        assert "STROBE_TOL" not in os.environ
+        assert dict(os.environ) == environ
+        code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
+        assert payload["spectral"]["tolerance"] == matcore.DEFAULT_RANK_TOL
 
 
 class TestCheckObservable:
@@ -125,6 +135,18 @@ class TestCheckObservable:
     def test_missing_file_exits_1(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert main(["check-observable", *WORKED_ARGS, "--observable", missing]) == 1
+
+    @pytest.mark.parametrize(
+        "model,params,n,dim",
+        [
+            ("two-level", "0.1,0.2,0.3", 2, 3),
+            ("three-level", "0.1,0.15,0.2,0.05,0.08,0.06", 3, 2),
+        ],
+    )
+    def test_wrong_shape_observable_exits_1(self, capsys, tmp_path, model, params, n, dim):
+        q = write_matrix(tmp_path / "q.json", np.eye(dim))
+        code = main(["check-observable", "--model", model, "--params", params, "--observable", q])
+        assert f"needs a {n}x{n} observable, got {dim}x{dim}" in assert_one_line_error(capsys, code)
 
 
 class TestReconstruct:
@@ -228,6 +250,15 @@ class TestReconstruct:
         code = main(self.reconstruct_args(tmp_path, grid="50,55,60"))
         assert code == 3
         assert "condition" in capsys.readouterr().err
+
+    def test_wrong_shape_observable_exits_1(self, capsys, tmp_path):
+        argv = self.reconstruct_args(tmp_path)
+        write_matrix(tmp_path / "q.json", np.eye(3))
+        assert "needs a 2x2 observable, got 3x3" in assert_one_line_error(capsys, main(argv))
+
+    @pytest.mark.parametrize("grid", ["0.1,0.2,nan", "0.1,0.2,inf", "nan,0.1,0.2"])
+    def test_non_finite_grid_exits_1(self, capsys, tmp_path, grid):
+        assert_one_line_error(capsys, main(self.reconstruct_args(tmp_path, grid=grid)))
 
     def test_invalid_rho0_exits_1(self, capsys, tmp_path):
         q = write_matrix(tmp_path / "q.json", [[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
@@ -410,6 +441,56 @@ def test_qutrit_scan_agrees_with_analyze(lows, step, gamma):
             assert int(row[8]) == spectral["eta"]
             assert int(row[9]) == spectral["mu"]
             assert float(row[10]) == spectral["discriminant"][0]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    def test_non_finite_or_non_positive_tol_exits_1(self, capsys, tol):
+        code = main([f"--tol={tol}", "analyze", "--model", "two-level", "--params", "0.2,0.2,0.3"])
+        assert_one_line_error(capsys, code)
+
+    @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
+    def test_tol_reaches_every_rank_decision(self, capsys, tmp_path, monkeypatch, command):
+        """Every tolerance the subcommand hands to matcore is the --tol value."""
+        seen = []
+        rank_tol = matcore._rank_tol
+
+        def spy(tol):
+            seen.append(tol)
+            return rank_tol(tol)
+
+        monkeypatch.setattr(matcore, "_rank_tol", spy)
+        q = write_matrix(tmp_path / "q.json", [[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+        rho = write_matrix(tmp_path / "rho.json", [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+        argv = {
+            "analyze": ["analyze", *WORKED_ARGS],
+            "check-observable": ["check-observable", *WORKED_ARGS, "--observable", q],
+            "reconstruct": ["reconstruct", *WORKED_ARGS, "--observable-seed", "5", "--rho0", rho],
+            "scan": ["scan", "--model", "two-level", "--a1", "0:0.2:0.1", "--a2", "0.2",
+                     "--a3", "0.3"],
+        }[command]
+        assert main(["--tol", "1e-6", *argv]) == 0
+        capsys.readouterr()
+        assert seen and set(seen) == {1e-6}
+
+    def test_scan_rows_equal_analyze_at_the_same_tol(self, capsys, tmp_path):
+        scan_csv = tmp_path / "scan.csv"
+        assert main(
+            ["--tol", "1e-6", "scan", "--model", "two-level", "--a1", "0.1:0.3:0.1",
+             "--a2", "0.2", "--a3", "0.3", "--output", str(scan_csv)]
+        ) == 0
+        rows = [line.split(",") for line in scan_csv.read_text().splitlines()[1:]]
+        assert [row[4] for row in rows] == ["true", "false", "false"]
+        for row in rows:
+            params = ",".join(row[:3])
+            code, payload = run_json(
+                capsys, ["--tol", "1e-6", "analyze", "--model", "two-level", "--params", params]
+            )
+            spectral = payload["spectral"]
+            assert spectral["tolerance"] == 1e-6
+            assert [int(row[5]), int(row[6]), float(row[7])] == [
+                spectral["eta"], spectral["mu"], spectral["discriminant"][0]
+            ]
 
 
 class TestSchemaRoundTrips:

@@ -4,7 +4,6 @@ import pytest
 from strobetomo import matcore
 from strobetomo.matcore import (
     ConditioningError,
-    default_rank_tol,
     eig,
     expm_apply,
     hs_inner,
@@ -93,6 +92,17 @@ class TestEig:
     def test_zero_matrix(self):
         spec = eig(np.zeros((4, 4)))
         assert spec.max_geometric_multiplicity == 4
+        assert spec.min_poly_degree == 1
+
+    def test_min_poly_degree_sums_indices(self):
+        """Index 1 for every diagonalizable cluster, the largest Jordan block
+        size for a defective one."""
+        assert eig(np.diag([2.0, 2.0, 5.0])).min_poly_degree == 2
+        assert eig(np.array([[3.0, 1.0], [0.0, 3.0]])).min_poly_degree == 2
+        m = np.diag([-1.0, -1.0, -1.0, -2.0]) + np.diag([1.0, 1.0, 0.0], 1)
+        spec = eig(m)
+        assert spec.clusters == ((-2.0 + 0j, 1, 1), (-1.0 + 0j, 3, 1))
+        assert spec.min_poly_degree == 4
 
     def test_near_degenerate_values_cluster(self):
         # gap of 1e-12 against a spectral diameter of ~1: far below the
@@ -179,14 +189,15 @@ class TestSolve:
 
 class TestTolerancePlumbing:
     def test_default(self, monkeypatch):
-        monkeypatch.delenv("STROBE_TOL", raising=False)
-        assert default_rank_tol() == matcore.DEFAULT_RANK_TOL
+        """``None`` means DEFAULT_RANK_TOL; no environment variable is read."""
+        monkeypatch.setenv("STROBE_TOL", "abc")
+        assert eig(np.diag([1.0, 2.0])).tolerance == matcore.DEFAULT_RANK_TOL
+        assert eig(np.diag([1.0, 2.0]), tol=1e-6).tolerance == 1e-6
+        assert rank_with_tol([np.ones(2)]) == 1
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("STROBE_TOL", "1e-6")
-        assert default_rank_tol() == 1e-6
-
-    def test_env_override_must_be_positive(self, monkeypatch):
-        monkeypatch.setenv("STROBE_TOL", "-1")
-        with pytest.raises(ValueError):
-            default_rank_tol()
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive(self, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            eig(np.eye(2), tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            rank_with_tol([np.ones(2)], tol=tol)

@@ -86,6 +86,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(instants=(0.5, 1.5), horizon=1.0)  # horizon too short
 
+    @pytest.mark.parametrize(
+        "instants,horizon",
+        [((0.1, 0.2, np.nan), 1.0), ((0.1, 0.2, np.inf), np.inf), ((0.1, 0.2), np.nan)],
+    )
+    def test_rejects_non_finite_instants_and_horizon(self, instants, horizon):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(instants=instants, horizon=horizon)
+
     def test_default_grid_two_level(self):
         """Equispaced with horizon 1/|lambda|_max = 1/1.0 for the worked example."""
         grid = default_time_grid(GEN_2, 3)
