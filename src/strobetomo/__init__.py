@@ -6,8 +6,9 @@ with generator L:
 * **Can one observable reconstruct the state?**  Yes exactly when the
   index of cyclicity is 1 (:func:`strobetomo.analysis.spectral_report`,
   :func:`strobetomo.analysis.optimality_report`).
-* **Which observables work?**  Those passing the Krylov span check
-  (:func:`strobetomo.analysis.span_check`; for qubits the closed form
+* **Which observables work?**  Those passing the Krylov span check, read
+  off one Hermitian eigendecomposition of the generator
+  (:func:`strobetomo.analysis.span_report`; for qubits the closed form
   :func:`strobetomo.analysis.two_level_admissible`).
 * **How is the state recovered?**  Measure Q at n^2 - 1 instants and run
   the linear inversion (:func:`strobetomo.reconstruct.plan` /
@@ -20,16 +21,14 @@ command-line interface is in :mod:`strobetomo.cli`.
 
 from . import analysis, channels, cli, matcore, reconstruct
 from .analysis import (
-    KrylovBasis,
     ObservableSpec,
     OptimalityReport,
     SpanReport,
     SpectralReport,
-    krylov_basis,
-    krylov_span_check,
     optimality_report,
     random_admissible_observable,
     span_check,
+    span_report,
     spectral_report,
     two_level_admissible,
 )
@@ -61,8 +60,9 @@ from .matcore import (
     NumericalFailure,
     Spectrum,
     eig,
-    expm_apply,
+    eigh,
     hs_inner,
+    propagate,
     unvec,
     vec,
 )
@@ -91,16 +91,14 @@ __all__ = [
     "cli",
     "matcore",
     "reconstruct",
-    "KrylovBasis",
     "ObservableSpec",
     "OptimalityReport",
     "SpanReport",
     "SpectralReport",
-    "krylov_basis",
-    "krylov_span_check",
     "optimality_report",
     "random_admissible_observable",
     "span_check",
+    "span_report",
     "spectral_report",
     "two_level_admissible",
     "KrausFamily",
@@ -128,8 +126,9 @@ __all__ = [
     "NumericalFailure",
     "Spectrum",
     "eig",
-    "expm_apply",
+    "eigh",
     "hs_inner",
+    "propagate",
     "unvec",
     "vec",
     "MeasurementRecord",

@@ -25,8 +25,12 @@ flag the inconsistency instead of asserting either.
 Observable admissibility: a Hermitian Q can reconstruct states under a
 generator L exactly when {I, Q, L*[Q], ..., (L*)^{n^2-2}[Q]} spans the
 operator space (L* is the Heisenberg-picture adjoint, numerically the
-conjugate transpose of the generator matrix).  For qubits this reduces to
-the closed-form test A != B, C != 0, D != 0 on Q = [[A, C+iD], [C-iD, B]].
+conjugate transpose of the generator matrix).  Admissibility takes a
+Hermitian generator, as both family generators are: then L* = L =
+V diag(lambda) V^dagger, and the span holds exactly when the spectrum is
+simple and every decaying eigen-coordinate c_k = <v_k, vec Q> is nonzero,
+which one eigendecomposition decides.  For qubits this reduces to the
+closed-form test A != B, C != 0, D != 0 on Q = [[A, C+iD], [C-iD, B]].
 """
 
 from __future__ import annotations
@@ -41,14 +45,12 @@ from .matcore import vec
 __all__ = [
     "SpectralReport",
     "ObservableSpec",
-    "KrylovBasis",
     "OptimalityReport",
     "SpanReport",
     "spectral_report",
     "optimality_report",
-    "krylov_span_check",
+    "span_report",
     "span_check",
-    "krylov_basis",
     "two_level_admissible",
     "random_admissible_observable",
 ]
@@ -118,30 +120,23 @@ class ObservableSpec:
 
 
 @dataclass(frozen=True)
-class KrylovBasis:
-    """The raw Krylov sequence {vec I, vec Q, L* vec Q, ..., (L*)^{n^2-2} vec Q}.
+class SpanReport:
+    """Span test of {I, Q_1, ...} and their Heisenberg-picture orbits.
 
-    ``admissible`` means the sequence spans the full operator space, i.e.
-    its numerical rank equals n^2.
+    ``rank`` is the dimension of the operator space the observables reach
+    (``required`` = n^2 when they reach all of it).  ``margin`` is the
+    smallest singular value, over the generator's eigenvalue clusters, of
+    the eigen-coordinates a cluster needs for full rank; for one
+    observable it is min |c_k| / ||Q|| over the decaying modes k.
     """
 
-    vectors: np.ndarray  # columns, n^2 of them
-    rank: int
-    condition: float
-
-    @property
-    def admissible(self) -> bool:
-        return self.rank == self.vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class SpanReport:
-    """Result of a Krylov span test for one or more observables."""
-
-    satisfied: bool
     rank: int
     required: int
-    mu: int
+    margin: float
+
+    @property
+    def satisfied(self) -> bool:
+        return self.rank == self.required
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,11 @@ def spectral_report(gen, tol: float | None = None) -> SpectralReport:
 
 def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
     """Evaluate all optimality certificates and report disagreements."""
-    report = spectral_report(gen, tol=tol)
+    return _optimality(spectral_report(gen, tol=tol))
+
+
+def _optimality(report: SpectralReport) -> OptimalityReport:
+    """The optimality certificates of an already computed spectral report."""
     dim = report.dim
     disc_nonzero = _discriminant_nonzero(report)
     optimal = report.eta == 1
@@ -230,56 +229,51 @@ def _discriminant_nonzero(report: SpectralReport) -> bool:
     return all(alg == 1 for _, alg, _ in report.spectrum.clusters)
 
 
-def _krylov_columns(gen: np.ndarray, q: np.ndarray, count: int) -> list[np.ndarray]:
-    """[vec Q, L* vec Q, ..., (L*)^{count-1} vec Q]."""
-    dual = gen.conj().T
-    cols = []
-    v = vec(q)
-    for _ in range(count):
-        cols.append(v)
-        v = dual @ v
-    return cols
+def span_report(gen, observables, tol: float | None = None) -> SpanReport:
+    """Do {I, Q_1, ...} and their orbits under L* span the operator space?
+
+    ``gen`` must be Hermitian (both family generators are), so one
+    :func:`~strobetomo.matcore.eigh`, L = V diag(lambda) V^dagger, gives
+    the Krylov matrix of Q as V diag(c) Vandermonde(lambda) with
+    eigen-coordinates c = V^dagger vec Q.  The observables therefore span
+    exactly when, on every eigenvalue cluster, the eigen-coordinates of the
+    norm-scaled {vec I, vec Q_1, ...} have full rank at ``tol``.
+    """
+    return _span_report(matcore.eigh(gen), observables, tol)
 
 
-def krylov_basis(gen, q, tol: float | None = None) -> KrylovBasis:
-    """Raw admissibility sequence {vec I, vec Q, ..., (L*)^{n^2-2} vec Q}."""
-    gen = np.asarray(gen, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    n = q.shape[0]
-    cols = [vec(np.eye(n, dtype=complex))]
-    cols += _krylov_columns(gen, q, n * n - 1)
-    mat = np.column_stack(cols)
-    rank = matcore.rank_with_tol(cols, tol=tol)
-    return KrylovBasis(vectors=mat, rank=rank, condition=float(np.linalg.cond(mat)))
+def _span_report(eigensystem, observables, tol: float | None) -> SpanReport:
+    """:func:`span_report` on an eigensystem from ``matcore.eigh``."""
+    tol = matcore._rank_tol(tol)
+    values, vectors = eigensystem
+    n2 = values.size
+    n = int(round(np.sqrt(n2)))
+    cols = [vec(np.eye(n))]
+    for q in observables:
+        q = q.matrix if isinstance(q, ObservableSpec) else np.asarray(q, dtype=complex)
+        if q.shape != (n, n):
+            raise ValueError(f"observable shape {q.shape} does not match generator dim {n}")
+        cols.append(vec(q))
+    cols = np.column_stack(cols)
+    norms = np.linalg.norm(cols, axis=0)
+    coords = vectors.conj().T @ (cols / np.where(norms > 0, norms, 1.0))
+
+    rank, margin = 0, np.inf
+    row_norms = np.linalg.norm(coords, axis=1)  # a one-row block's singular value
+    diameter = values[-1] - values[0]
+    for group in matcore._cluster_indices(values, matcore.CLUSTER_TOL * diameter):
+        if len(group) == 1:
+            sv = row_norms[group]
+        else:
+            sv = np.linalg.svd(coords[group], compute_uv=False)
+        rank += int(np.sum(sv > tol))
+        margin = min(margin, sv[len(group) - 1] if sv.size >= len(group) else 0.0)
+    return SpanReport(rank=rank, required=n2, margin=float(margin))
 
 
 def span_check(gen, q, tol: float | None = None) -> bool:
-    """True when the admissibility sequence spans the operator space."""
-    basis = krylov_basis(gen, q, tol=tol)
-    return basis.admissible
-
-
-def krylov_span_check(gen, observables, tol: float | None = None) -> SpanReport:
-    """Span test for a set of observables jointly.
-
-    Stacks {vec I} with the Krylov chains of every observable truncated at
-    the minimal-polynomial degree mu, and checks for full operator-space
-    rank.  With eta > 1 a single observable can never pass, but several
-    together may.
-    """
-    observables = list(observables)
-    if not observables:
-        raise ValueError("at least one observable is required")
-    gen = np.asarray(gen, dtype=complex)
-    report = spectral_report(gen, tol=tol)
-    n2 = gen.shape[0]
-    n = int(round(np.sqrt(n2)))
-    cols = [vec(np.eye(n, dtype=complex))]
-    for obs in observables:
-        q = obs.matrix if isinstance(obs, ObservableSpec) else np.asarray(obs, dtype=complex)
-        cols += _krylov_columns(gen, q, report.mu)
-    rank = matcore.rank_with_tol(cols, tol=tol)
-    return SpanReport(satisfied=rank == n2, rank=rank, required=n2, mu=report.mu)
+    """True when the single observable ``q`` is admissible under ``gen``."""
+    return span_report(gen, [q], tol=tol).satisfied
 
 
 def two_level_admissible(q, tol: float = 1e-12) -> bool:
@@ -301,12 +295,12 @@ def random_admissible_observable(
     drawn with margins >= 0.1 away from the inadmissible locus, so the
     rejection loop essentially never iterates; for larger dimensions a
     Gaussian Hermitian matrix is drawn and re-tried until the span check
-    passes.  Raises ConditioningError-free ValueError when the cap is hit,
-    which signals a non-optimal generator (eta > 1).
+    passes.  ``gen`` is decomposed once, before the loop.  Raises
+    ValueError when the cap is hit, which signals a non-optimal generator
+    (eta > 1).
     """
-    gen = np.asarray(gen, dtype=complex)
-    n2 = gen.shape[0]
-    n = int(round(np.sqrt(n2)))
+    eigensystem = matcore.eigh(gen)
+    n = int(round(np.sqrt(eigensystem[0].size)))
     rng = np.random.default_rng(seed)
     for _ in range(tries):
         if n == 2:
@@ -318,13 +312,12 @@ def random_admissible_observable(
         else:
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q = (x + x.conj().T) / 2.0
-        if span_check(gen, q, tol=tol):
+        if _span_report(eigensystem, [q], tol).satisfied:
             return ObservableSpec.from_matrix(q)
     raise ValueError(
-        f"no admissible observable found in {tries} tries; either the "
-        "generator is non-optimal (eta > 1), where no single observable can "
-        "span the operator space, or its spectrum is so clustered that no "
-        "span can be certified at the rank tolerance"
+        f"no admissible observable found in {tries} tries; the generator is "
+        "likely non-optimal (eta > 1), where no single observable can span "
+        "the operator space"
     )
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import vec, unvec, expm_apply
+from .matcore import vec, unvec
 
 __all__ = [
     "TwoLevelParams",
@@ -287,15 +287,13 @@ def validate_three_level(p: ThreeLevelParams) -> ValidityReport:
 class KrausFamily:
     """A time-parametrized Kraus set tied to one of the supported models."""
 
-    model: str  # "two-level" | "three-level" | "lindblad-generic"
-    params: TwoLevelParams | ThreeLevelParams | LindbladSpec
+    model: str  # "two-level" | "three-level"
+    params: TwoLevelParams | ThreeLevelParams
     dim: int
 
     @property
     def gamma(self) -> float:
-        if isinstance(self.params, (TwoLevelParams, ThreeLevelParams)):
-            return self.params.gamma
-        raise AttributeError("generic Lindblad families have per-jump rates")
+        return self.params.gamma
 
 
 def two_level_family(p: TwoLevelParams) -> KrausFamily:
@@ -423,8 +421,6 @@ def generator_of(family: KrausFamily) -> np.ndarray:
         return generator_two_level(family.params)
     if family.model == "three-level":
         return generator_three_level(family.params)
-    if family.model == "lindblad-generic":
-        return generator_from_lindblad(family.params)
     raise ValueError(f"unknown model {family.model!r}")
 
 
@@ -488,11 +484,10 @@ def kraus_vs_semigroup_deviation(family: KrausFamily, t: float, rho) -> float:
     t and generically positive for t > 0.
     """
     rho = matcore.as_matrix(rho)
-    if family.model not in ("two-level", "three-level"):
-        raise ValueError(f"deviation probe is not defined for model {family.model!r}")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     gen = generator_of(family)
     via_kraus = apply_kraus(family, t, rho)
-    via_semigroup = unvec(expm_apply(gen, t, vec(rho)), family.dim, family.dim)
+    n = family.dim
+    via_semigroup = unvec(matcore.propagate(matcore.eigh(gen), vec(rho), [t])[0], n, n)
     return float(np.linalg.norm(via_kraus - via_semigroup))

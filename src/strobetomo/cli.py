@@ -10,7 +10,8 @@ Four subcommands::
 
 Exit codes are part of the contract: 0 success/optimal/admissible,
 2 valid-but-degenerate or inadmissible, 3 conditioning failure, 1 for any
-input error.  JSON reports carry a ``schema_version`` field; complex
+input or usage error.  JSON reports carry a ``schema_version`` field ("3"
+for ``check-observable``, "2" for the others); complex
 matrices serialize as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
 with ROW-MAJOR data order (serialization order is deliberately independent
 of the column-major vec convention used internally).  Measurement CSVs use
@@ -35,6 +36,7 @@ from . import analysis, channels, matcore, reconstruct
 __all__ = ["main", "matrix_to_json", "matrix_from_json"]
 
 SCHEMA_VERSION = "2"
+CHECK_OBSERVABLE_SCHEMA_VERSION = "3"
 
 #: Hard cap on scan grid size.
 SCAN_POINT_CAP = 10_000_000
@@ -157,7 +159,7 @@ def cmd_analyze(args) -> int:
 
     gen = channels._family_generator(params)
     report = analysis.spectral_report(gen, tol=args.tol)
-    opt = analysis.optimality_report(gen, tol=args.tol)
+    opt = analysis._optimality(report)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -214,16 +216,15 @@ def cmd_check_observable(args) -> int:
         return _fail(f"cannot load observable: {exc}")
 
     gen = channels._family_generator(params)
-    basis = analysis.krylov_basis(gen, obs.matrix, tol=args.tol)
-    admissible = basis.admissible
+    report = analysis.span_report(gen, [obs], tol=args.tol)
+    admissible = report.satisfied
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": CHECK_OBSERVABLE_SCHEMA_VERSION,
         "model": args.model,
         "admissible": admissible,
-        "rank": basis.rank,
-        "required": basis.vectors.shape[0],
-        "determinant_magnitude": float(abs(np.linalg.det(basis.vectors))),
-        "condition": basis.condition,
+        "rank": report.rank,
+        "required": report.required,
+        "margin": report.margin,
     }
     if obs.dim == 2:
         payload["closed_form"] = {
@@ -321,9 +322,6 @@ def cmd_reconstruct(args) -> int:
 
     try:
         result = reconstruct.execute(plan_, records, psd_project=args.psd_project)
-    except matcore.ConditioningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONING
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -483,8 +481,21 @@ def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=1.0, help="decoherence rate (default 1)")
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as exit 1 with one line, like other input errors
+    (argparse's own exit 2 is the code for degenerate input here).
+    Subparsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strobetomo",
         description="Stroboscopic tomography toolkit: generator diagnostics, "
         "observable admissibility, and single-observable state reconstruction.",
@@ -553,7 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail(str(exc))
     if not (np.isfinite(args.tol) and args.tol > 0):
         return _fail(f"--tol must be finite and positive, got {args.tol}")
     try:

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small superoperators.
 
 Everything in this package runs through a handful of primitives collected
-here: column-major vectorization, Hilbert-Schmidt inner products, spectral
-decompositions with degeneracy clustering, matrix exponential action, and
-tolerance-aware rank / linear solves.
+here: column-major vectorization, Hilbert-Schmidt inner products, the
+general spectral decomposition with degeneracy clustering, and the
+Hermitian eigendecomposition with the matrix-exponential action read off
+it.
 
 Conventions fixed once and for all:
 
@@ -11,8 +12,8 @@ Conventions fixed once and for all:
   ``vec(X @ Y @ Z) == np.kron(Z.T, X) @ vec(Y)``.  Row-major stacking breaks
   that identity, and with it every generator built in :mod:`.channels`.
 * Numerical rank uses a *relative* singular-value cutoff, default
-  ``1e-9`` times the largest singular value; every function taking a
-  ``tol`` argument reads ``None`` as that default.
+  ``1e-9``; every function in the package taking a ``tol`` argument reads
+  ``None`` as that default.
 * Eigenvalues are reported sorted by (real, imaginary) part, and values
   within ``1e-8`` of each other relative to the spectral diameter are
   clustered before multiplicities and indices are computed: numerical
@@ -21,10 +22,11 @@ Conventions fixed once and for all:
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
 
-``scipy.linalg`` is imported on the first call of :func:`expm_apply` or
-:func:`rank_with_tol`, the only two users of it, so importing the package
-(and the spectral reports, which use numpy alone) does not pay its import
-cost.
+Admissibility and evolution take a Hermitian generator (both family
+generators are real symmetric): :func:`eigh` decomposes it once and
+:func:`propagate` applies ``exp(m t)`` through that decomposition.  The
+general :func:`eig` serves the spectral reports, which also accept
+non-normal inputs.  The module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ __all__ = [
     "ConditioningError",
     "NumericalFailure",
     "Spectrum",
-    "SolveResult",
     "as_matrix",
     "vec",
     "unvec",
     "hs_inner",
     "eig",
-    "expm_apply",
-    "rank_with_tol",
-    "solve",
+    "eigh",
+    "propagate",
 ]
 
 #: Relative singular-value cutoff separating true degeneracy from rounding
@@ -58,7 +58,7 @@ CLUSTER_TOL = 1e-8
 
 
 class ConditioningError(RuntimeError):
-    """A linear system or plan was rejected as too ill-conditioned.
+    """A reconstruction plan was rejected as too ill-conditioned.
 
     Carries the offending condition number in :attr:`condition` and the
     name of the matrix that triggered the rejection in :attr:`matrix_name`.
@@ -226,85 +226,35 @@ def eig(m, tol: float | None = None) -> Spectrum:
     )
 
 
-def expm_apply(m, t: float, v) -> np.ndarray:
-    """Action of the matrix exponential: ``exp(m t) @ v``.
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a
+    Hermitian matrix, ``m = V diag(values) V^dagger``.
 
-    Dimensions here are tiny (at most ~100x100 by charter), so the dense
-    scaling-and-squaring exponential is both the simplest and the most
-    robust choice; no Krylov/expmv machinery is warranted.
+    Both family generators are Hermitian (real symmetric), so this one
+    decomposition is complete and well conditioned for them; a matrix that
+    is not Hermitian to 1e-12 is rejected.
     """
-    m = np.asarray(m, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expm_apply requires a square matrix, got {m.shape}")
-    if v.shape[0] != m.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {m.shape}, vector {v.shape}")
-    if t == 0:
-        return v.copy()
-    import scipy.linalg
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"eigh requires a square matrix, got shape {m.shape}")
+    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        raise ValueError("eigh requires a Hermitian matrix (to 1e-12)")
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    return values, vectors
 
-    out = scipy.linalg.expm(m * t) @ v
+
+def propagate(eigensystem, x, times) -> np.ndarray:
+    """``exp(m t) x`` for every ``t`` in ``times``, one row per instant.
+
+    ``eigensystem`` is ``(values, vectors)`` from :func:`eigh`, so the
+    action is V e^{values t} V^dagger x for all instants at once.
+    """
+    values, vectors = eigensystem
+    coords = vectors.conj().T @ np.asarray(x, dtype=complex)
+    out = (np.exp(np.outer(times, values)) * coords) @ vectors.T
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("matrix exponential produced non-finite entries")
     return out
-
-
-def rank_with_tol(vectors, tol: float | None = None) -> int:
-    """Numerical rank of a family of equal-length vectors.
-
-    Column-pivoted elimination on norm-scaled columns: each nonzero vector
-    is first normalized (making the count exactly invariant under nonzero
-    column scaling and under permutation), then the pivoted-QR diagonal is
-    thresholded at ``tol`` times its largest entry.  The pivoted diagonal
-    measures how much genuinely new direction each column adds, which keeps
-    near-dependent families (Krylov stacks of clustered spectra) from being
-    written off by the squared conditioning an SVD of the raw stack sees.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("rank_with_tol requires at least one vector")
-    tol = _rank_tol(tol)
-    cols = []
-    for v in vectors:
-        v = np.asarray(v, dtype=complex).ravel()
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            cols.append(v / norm)
-    if not cols:
-        return 0
-    import scipy.linalg
-
-    a = np.column_stack(cols)
-    r = scipy.linalg.qr(a, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0:
-        return 0
-    return int(np.sum(diag > tol * diag[0]))
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Solution of a square linear system plus its 2-norm condition number."""
-
-    solution: np.ndarray
-    condition: float
-
-
-def solve(a, b, *, name: str = "matrix", max_condition: float = 1e15) -> SolveResult:
-    """Solve ``a x = b`` and report the condition number of ``a``.
-
-    Raises :class:`ConditioningError` when ``a`` is singular at working
-    precision or its condition number exceeds ``max_condition``.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or cond > max_condition:
-        raise ConditioningError(
-            f"{name} is singular to working precision (condition {cond:.3e})",
-            condition=cond,
-            matrix_name=name,
-        )
-    x = np.linalg.solve(a, b)
-    return SolveResult(solution=x, condition=cond)
-

@@ -15,6 +15,10 @@ F[:, 1:].  It can be invertible only when Q passes the Krylov span check;
 its condition number measures the measurement design (observable and
 instants) and is gated at 1e8.
 
+Evolution and planning take a Hermitian, trace-preserving generator, as
+both family generators are: one ``matcore.eigh`` of it gives exp(L t) at
+every instant at once, and the forward rows mode by mode.
+
 Measurement simulation follows the Born rule on Q's eigenbasis with a
 multinomial shot model; per-instant substreams are spawned from one seed,
 so records are reproducible regardless of evaluation order.
@@ -23,13 +27,14 @@ so records are reproducible regardless of evaluation order.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, matcore
-from .matcore import ConditioningError, vec, unvec, expm_apply
+from .matcore import ConditioningError, vec, unvec
 
 __all__ = [
     "TimeGrid",
@@ -114,10 +119,15 @@ def default_time_grid(gen, p: int, tol: float | None = None) -> TimeGrid:
 
 
 def evolve(gen, rho0, t: float) -> np.ndarray:
-    """rho(t) = unvec(exp(L t) vec rho0)."""
+    """rho(t) = unvec(exp(L t) vec rho0) for a Hermitian generator."""
+    return _trajectory(matcore.eigh(gen), rho0, [t])[0]
+
+
+def _trajectory(eigensystem, rho0, times) -> list[np.ndarray]:
+    """rho(t) for every t in ``times``, from the generator's ``matcore.eigh``."""
     rho0 = matcore.as_matrix(rho0)
     n = rho0.shape[0]
-    return unvec(expm_apply(np.asarray(gen, dtype=complex), t, vec(rho0)), n, n)
+    return [unvec(v, n, n) for v in matcore.propagate(eigensystem, vec(rho0), times)]
 
 
 def expectation(q, rho) -> float:
@@ -186,17 +196,15 @@ def simulate_records(gen, q, rho0, grid: TimeGrid, shots, seed=None) -> list[Mea
     identically-prepared ensembles per instant), so the record list is
     deterministic for a fixed seed independent of evaluation order.
     """
-    gen = np.asarray(gen, dtype=complex)
-    rho0 = matcore.as_matrix(rho0)
     if shots == "exact":
         child_seeds = [None] * grid.p
     else:
         child_seeds = np.random.SeedSequence(seed).spawn(grid.p)
-    records = []
-    for t, sub in zip(grid.instants, child_seeds):
-        rho_t = evolve(gen, rho0, t)
-        records.append(measure(q, rho_t, shots, seed=sub, t=t))
-    return records
+    states = _trajectory(matcore.eigh(gen), rho0, grid.instants)
+    return [
+        measure(q, rho_t, shots, seed=sub, t=t)
+        for t, rho_t, sub in zip(grid.instants, states, child_seeds)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +212,12 @@ def simulate_records(gen, q, rho0, grid: TimeGrid, shots, seed=None) -> list[Mea
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _hermitian_basis(n: int) -> np.ndarray:
     """Real-orthonormal basis of Hermitian n x n matrices under <A,B> =
     Tr(A B), stacked along axis 0: I/sqrt(n), symmetric and antisymmetric
-    off-diagonal pairs, then traceless diagonal matrices."""
+    off-diagonal pairs, then traceless diagonal matrices.  Built once per
+    n and read-only."""
     ops = [np.eye(n, dtype=complex) / np.sqrt(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -223,13 +233,9 @@ def _hermitian_basis(n: int) -> np.ndarray:
         d[:k] = 1.0
         d[k] = -float(k)
         ops.append(np.diag(d).astype(complex) / np.linalg.norm(d))
-    return np.array(ops)
-
-
-def _herm_coords(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Real coordinates <B_u, m> of Hermitian matrices in the orthonormal
-    basis; ``m`` may carry leading axes (one coordinate row per matrix)."""
-    return np.tensordot(m, basis.conj(), axes=([-2, -1], [1, 2])).real
+    ops = np.array(ops)
+    ops.flags.writeable = False
+    return ops
 
 
 @dataclass(frozen=True)
@@ -262,9 +268,10 @@ class ReconstructionPlan:
 def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan:
     """Build and validate a reconstruction plan.
 
-    Requirements checked here: the generator is optimal (eta = 1), the
-    grid has exactly p = n^2 - 1 distinct instants, and the observable
-    passes the Krylov span check.  The reduced system must be conditioned
+    Requirements checked here: the generator is Hermitian,
+    trace-preserving and optimal (eta = 1), the grid has exactly
+    p = n^2 - 1 distinct instants, and the observable passes the Krylov
+    span check.  The reduced system must be conditioned
     below 1e8, otherwise a :class:`~strobetomo.matcore.ConditioningError`
     is raised.
     """
@@ -274,6 +281,8 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     n2 = n * n
     if gen.shape != (n2, n2):
         raise ValueError(f"generator shape {gen.shape} does not match observable dim {n}")
+    if np.max(np.abs(vec(np.eye(n)) @ gen)) > 1e-12 * np.max(np.abs(gen)):
+        raise ValueError("generator must be trace-preserving (vec(I)^dagger L = 0)")
     report = analysis.spectral_report(gen, tol=tol)
     if report.eta != 1:
         raise ValueError(
@@ -284,15 +293,25 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
             f"single-observable reconstruction needs p = n^2 - 1 = {n2 - 1} instants, "
             f"got {grid.p}"
         )
-    if not analysis.span_check(gen, obs.matrix, tol=tol):
+    eigensystem = matcore.eigh(gen)
+    if not analysis._span_report(eigensystem, [obs.matrix], tol).satisfied:
         raise ValueError("observable fails the Krylov span check (inadmissible)")
 
-    # Forward rows: exp(L* t_j)[Q] in the fixed Hermitian basis.
-    dual = gen.conj().T
-    qv = vec(obs.matrix)
-    evolved = np.array([unvec(expm_apply(dual, t, qv), n, n) for t in grid.instants])
-    forward = _herm_coords(evolved, _hermitian_basis(n))
-    reduced = forward[:, 1:]
+    # Forward rows, mode by mode: L* = L = V diag(lambda) V^dagger, so
+    # <B_u, exp(L* t)[Q]> = sum_k <B_u, v_k> e^{lambda_k t} c_k with
+    # c = V^dagger vec Q.  A trace-preserving Hermitian L has the stationary
+    # mode vec(I)/sqrt(n), so column 0 is Tr Q / sqrt(n) and the traceless
+    # columns sum only the decaying modes; summing the stationary one too
+    # would add its rounding, which swamps late-time rows.
+    values, vectors = eigensystem
+    basis = _hermitian_basis(n)
+    overlaps = basis.transpose(0, 2, 1).reshape(n2, n2).conj() @ vectors  # <B_u, v_k>
+    decaying = np.arange(n2) != np.argmin(np.abs(values))
+    coords = vectors.conj().T @ vec(obs.matrix)
+    modes = np.exp(np.outer(grid.instants, values[decaying])) * coords[decaying]
+    reduced = (modes @ overlaps[1:, decaying].T).real
+    trace_column = np.full((grid.p, 1), np.trace(obs.matrix).real / np.sqrt(n))
+    forward = np.hstack([trace_column, reduced])
     cond_reduced = float(np.linalg.cond(reduced))
     if cond_reduced >= CONDITION_LIMIT:
         raise ConditioningError(
@@ -357,14 +376,12 @@ def execute(
     # Known coordinate of rho(0) on B_0 = I/sqrt(n), from Tr rho = 1.
     h0 = 1.0 / np.sqrt(n)
     rhs = m - plan_.forward_matrix[:, 0] * h0
-    sol = matcore.solve(
-        plan_.reduced_matrix, rhs, name="reduced coefficient matrix",
-        max_condition=CONDITION_LIMIT,
-    )
-    coords = np.concatenate([[h0], sol.solution.real])
+    # The plan's gate bounds the condition number, so the system is solvable.
+    solution = np.linalg.solve(plan_.reduced_matrix, rhs)
+    coords = np.concatenate([[h0], solution])
     raw = np.tensordot(coords, _hermitian_basis(n), axes=1)
 
-    residual = float(np.linalg.norm(plan_.reduced_matrix @ sol.solution - rhs))
+    residual = float(np.linalg.norm(plan_.reduced_matrix @ solution - rhs))
     herm_defect = float(np.max(np.abs(raw - raw.conj().T)))
     trace_defect = float(abs(np.trace(raw).real - 1.0))
 
@@ -397,7 +414,7 @@ def _psd_projection(rho: np.ndarray) -> np.ndarray:
 
 def reconstruct_trajectory(gen, result: ReconstructionResult, times) -> list[np.ndarray]:
     """Propagate the recovered initial state along the known dynamics."""
-    return [evolve(gen, result.estimate, float(t)) for t in times]
+    return _trajectory(matcore.eigh(gen), result.estimate, times)
 
 
 # ---------------------------------------------------------------------------

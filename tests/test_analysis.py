@@ -5,31 +5,32 @@ from hypothesis import strategies as st
 
 from strobetomo.analysis import (
     ObservableSpec,
-    krylov_basis,
-    krylov_span_check,
     optimality_report,
     random_admissible_observable,
     span_check,
+    span_report,
     spectral_report,
     two_level_admissible,
 )
 from strobetomo.channels import (
+    LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
     closed_form_spectrum_three_level,
     closed_form_spectrum_two_level,
+    generator_from_lindblad,
     generator_three_level,
     generator_two_level,
     pauli,
     validate_three_level,
 )
+from strobetomo.matcore import vec
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
 GEN_3 = generator_three_level(ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.06, gamma=1.0))
 GEN_2_DEGENERATE = generator_two_level(TwoLevelParams(0.2, 0.2, 0.3, gamma=1.0))
-# a parameter set whose nine decay rates are well separated, so Krylov spans
-# are certifiable at the default tolerance (GEN_3 above has five rates within
-# 0.10 of each other, which pushes span certificates below 1e-9)
+# a parameter set whose nine decay rates are well separated (GEN_3 above has
+# five rates within 0.10 of each other)
 GEN_3_SPREAD = generator_three_level(
     ThreeLevelParams(0.19095, 0.30485, 0.0, 0.282583, 0.139698, 0.403958, gamma=1.0)
 )
@@ -48,6 +49,26 @@ def jordan(*blocks):
         m[i:i + size, i:i + size] = value * np.eye(size) + np.eye(size, k=1)
         i += size
     return m
+
+
+# The README's qutrit points, where a pivoted QR of the Krylov stack could
+# certify no observable at all.
+README_QUTRIT_POINTS = (
+    (0.1, 0.15, 0.2, 0.05, 0.08, 0.06),
+    (0.170290450317951, 0.09533539539483808, 0.1163587622682549,
+     0.15588001075419705, 0.10034836517815557, 0.17918689441577598),
+)
+
+
+def krylov_rank(gen, q, tol=1e-9):
+    """Reference admissibility rank: the SVD rank of the raw Krylov stack
+    {vec I, vec Q, L* vec Q, ..., (L*)^{n^2-2} vec Q}."""
+    n = q.shape[0]
+    cols = [vec(np.eye(n)), vec(q)]
+    while len(cols) < n * n:
+        cols.append(gen.conj().T @ cols[-1])
+    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    return int(np.sum(sv > tol * sv[0]))
 
 
 # Coefficients on a 1/1024 lattice (with gamma a power of two) make every
@@ -236,38 +257,106 @@ class TestQubitAdmissibility:
 
 
 class TestKrylovBasis:
+    """The span of {vec I, vec Q, L* vec Q, ...}, read off the eigen-coordinates."""
+
     def test_admissible_observable_spans(self):
-        basis = krylov_basis(GEN_2, qubit_observable(1.0, 0.0, 1.0, 1.0))
-        assert basis.rank == 4
-        assert basis.admissible
-        assert basis.vectors.shape == (4, 4)
-        assert np.isfinite(basis.condition)
+        report = span_report(GEN_2, [qubit_observable(1.0, 0.0, 1.0, 1.0)])
+        assert report.rank == report.required == 4
+        assert report.satisfied
+        assert report.margin > 0
 
     def test_rank_deficit_for_bad_observable(self):
-        basis = krylov_basis(GEN_2, pauli(1))
-        assert basis.rank < 4
-        assert not basis.admissible
+        report = span_report(GEN_2, [pauli(1)])
+        assert report.rank < 4
+        assert not report.satisfied
+        assert report.margin < 1e-12
 
     def test_three_level_admissible_observable(self):
         obs = random_admissible_observable(GEN_3_SPREAD, 5)
-        basis = krylov_basis(GEN_3_SPREAD, obs.matrix)
-        assert basis.rank == 9
+        assert span_report(GEN_3_SPREAD, [obs]).rank == 9
 
-    def test_clustered_spectrum_defeats_certification(self):
-        """Five decay rates within 0.10: no Q can be certified at 1e-9.
+    def test_clustered_spectrum_is_certified(self):
+        """Clustered decay rates leave every eigen-coordinate of a random
+        observable nonzero, so at the README qutrit points the first draw of
+        every seed is admissible."""
+        for point in README_QUTRIT_POINTS:
+            gen = generator_three_level(ThreeLevelParams(*point))
+            for seed in range(20):
+                obs = random_admissible_observable(gen, seed, tries=1)
+                report = span_report(gen, [obs])
+                assert report.satisfied
+                assert report.margin > 1e-6
 
-        This is the numerical shadow of the reconstruction conditioning
-        floor for the same generator (~1e10), not an implementation flaw:
-        the ninth Krylov direction genuinely carries less than one part in
-        1e9 of fresh information.
-        """
-        rng = np.random.default_rng(21)
-        for _ in range(5):
-            x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            q = (x + x.conj().T) / 2
-            assert krylov_basis(GEN_3, q).rank == 8
-        with pytest.raises(ValueError, match="certified|eta"):
-            random_admissible_observable(GEN_3, 0, tries=10)
+
+class TestSpanReport:
+    def test_full_rank(self):
+        report = span_report(GEN_3_SPREAD, [random_admissible_observable(GEN_3_SPREAD, 0)])
+        assert (report.rank, report.required) == (9, 9)
+
+    def test_detects_deficiency(self):
+        """Each closed-form condition removes exactly one decaying mode."""
+        for q in (
+            qubit_observable(1.0, 1.0, 1.0, 1.0),  # A = B
+            qubit_observable(1.0, 0.0, 0.0, 1.0),  # C = 0
+            qubit_observable(1.0, 0.0, 1.0, 0.0),  # D = 0
+        ):
+            assert span_report(GEN_2, [q]).rank == 3
+        assert span_report(GEN_2, [np.eye(2)]).rank == 1
+        assert span_report(GEN_2, [np.zeros((2, 2))]).rank == 1
+
+    def test_scaling_and_permutation_invariance(self):
+        q1 = qubit_observable(0.3, -0.2, 1e-3, 0.7)
+        q2 = qubit_observable(0.5, -0.5, 0.0, 1.0)
+        base = span_report(GEN_2, [q1])
+        scaled = span_report(GEN_2, [1e9 * q1])
+        assert scaled.rank == base.rank == 4
+        assert scaled.margin == pytest.approx(base.margin, rel=1e-12)
+        pair, swapped = span_report(GEN_2, [q1, q2]), span_report(GEN_2, [q2, q1])
+        assert pair.rank == swapped.rank == 4
+        assert pair.margin == pytest.approx(swapped.margin, rel=1e-12)
+
+    def test_relative_tolerance_semantics(self):
+        """The margin is min |c_k| / ||Q||: here |D| sqrt(2) / sqrt(3), kept at
+        the default 1e-9 tolerance and dropped at 1e-3."""
+        q = qubit_observable(1.0, 0.0, 1.0, 1e-6)
+        report = span_report(GEN_2, [q])
+        assert report.margin == pytest.approx(np.sqrt(2.0) * 1e-6 / np.linalg.norm(q), rel=1e-6)
+        assert report.rank == 4
+        assert span_report(GEN_2, [q], tol=1e-3).rank == 3
+
+    def test_margin_is_the_closed_form_coordinate(self):
+        """On the qubit, c = (C sqrt 2, D sqrt 2, (A - B) / sqrt 2) over the
+        decaying modes."""
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            a, b, c, d = rng.uniform(-1, 1, size=4)
+            q = qubit_observable(a, b, c, d)
+            expected = min(abs(c) * np.sqrt(2), abs(d) * np.sqrt(2), abs(a - b) / np.sqrt(2))
+            margin = span_report(GEN_2, [q]).margin
+            assert margin == pytest.approx(expected / np.linalg.norm(q), rel=1e-9)
+
+    def test_rejects_non_hermitian_generator(self):
+        spec = LindbladSpec(hamiltonian=pauli(3), jump_operators=(pauli(1),), rates=(0.5,))
+        with pytest.raises(ValueError, match="Hermitian"):
+            span_report(generator_from_lindblad(spec), [pauli(1)])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        k=st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True),
+        gamma=gammas,
+        fields=st.tuples(*[st.integers(-8, 8)] * 4),
+    )
+    def test_span_check_matches_closed_form_and_krylov_rank(self, k, gamma, fields):
+        """On optimal qubit generators with rates at least gamma / 8 apart,
+        and observables whose A - B, C and D are each 0 or at least 1/8,
+        the eigen-coordinate check, the closed form and the raw Krylov
+        rank agree."""
+        gen = generator_two_level(TwoLevelParams(*(x / 16 for x in k), gamma=gamma))
+        a, delta, c, d = (x / 8 for x in fields)
+        q = qubit_observable(a, a + delta, c, d)
+        admissible = span_check(gen, q)
+        assert admissible == two_level_admissible(q)
+        assert admissible == (krylov_rank(gen, q) == 4)
 
 
 class TestSpanCheckMultiObservable:
@@ -277,19 +366,20 @@ class TestSpanCheckMultiObservable:
         q2 = qubit_observable(0.5, -0.5, 0.0, 1.0)  # sigma_2-leaning
         assert not span_check(GEN_2_DEGENERATE, q1)
         assert not span_check(GEN_2_DEGENERATE, q2)
-        report = krylov_span_check(GEN_2_DEGENERATE, [q1, q2])
+        assert span_report(GEN_2_DEGENERATE, [q1]).margin < 1e-12
+        report = span_report(GEN_2_DEGENERATE, [q1, q2])
         assert report.satisfied
         assert report.rank == 4
-        assert report.mu == 3
+        assert report.margin > 0.1
 
     def test_parallel_pair_does_not_help(self):
         q1 = qubit_observable(0.5, -0.5, 1.0, 0.0)
-        report = krylov_span_check(GEN_2_DEGENERATE, [q1, 2.0 * q1])
+        report = span_report(GEN_2_DEGENERATE, [q1, 2.0 * q1])
         assert not report.satisfied
 
     def test_single_observable_consistency(self):
         q = qubit_observable(1.0, 0.0, 1.0, 1.0)
-        report = krylov_span_check(GEN_2, [q])
+        report = span_report(GEN_2, [q])
         assert report.satisfied == span_check(GEN_2, q)
 
 

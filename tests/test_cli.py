@@ -109,14 +109,36 @@ class TestAnalyze:
         code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
         assert payload["spectral"]["tolerance"] == matcore.DEFAULT_RANK_TOL
 
+    def test_decomposes_once(self, capsys, monkeypatch):
+        """The spectral and optimality blocks come from one eigendecomposition."""
+        calls = []
+        eig = matcore.eig
+
+        def counting_eig(*args, **kwargs):
+            calls.append(1)
+            return eig(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "eig", counting_eig)
+        code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
+        assert code == 0
+        assert len(calls) == 1
+        assert payload["optimality"]["eta"] == payload["spectral"]["eta"] == 1
+
 
 class TestCheckObservable:
     def test_admissible(self, capsys, tmp_path):
         q = write_matrix(tmp_path / "q.json", [[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
         code, payload = run_json(capsys, ["check-observable", *WORKED_ARGS, "--observable", q])
         assert code == 0
+        assert payload["schema_version"] == "3"
         assert payload["admissible"] is True
         assert payload["rank"] == 4
+        assert payload["required"] == 4
+        # min |c_k| / ||Q|| with c = (C sqrt 2, D sqrt 2, (A - B) / sqrt 2)
+        assert payload["margin"] == pytest.approx(np.sqrt(0.5) / np.sqrt(5.0), rel=1e-12)
+        assert set(payload) == {
+            "schema_version", "model", "admissible", "rank", "required", "margin", "closed_form",
+        }
         assert payload["closed_form"]["admissible"] is True
         assert payload["closed_form"] == {
             "A": 1.0, "B": 0.0, "C": 1.0, "D": 1.0, "admissible": True,
@@ -127,6 +149,8 @@ class TestCheckObservable:
         code, payload = run_json(capsys, ["check-observable", *WORKED_ARGS, "--observable", q])
         assert code == 2
         assert payload["admissible"] is False
+        assert payload["rank"] < payload["required"] == 4
+        assert payload["margin"] < 1e-12
 
     def test_non_hermitian_exits_1(self, capsys, tmp_path):
         q = write_matrix(tmp_path / "q.json", [[0.0, 1.0], [0.0, 0.0]])
@@ -248,6 +272,23 @@ class TestReconstruct:
 
     def test_ill_conditioned_grid_exits_3(self, capsys, tmp_path):
         code = main(self.reconstruct_args(tmp_path, grid="50,55,60"))
+        assert code == 3
+        assert "condition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        "0.1,0.15,0.2,0.05,0.08,0.06",
+        "0.170290450317951,0.09533539539483808,0.1163587622682549,"
+        "0.15588001075419705,0.10034836517815557,0.17918689441577598",
+    ])
+    def test_readme_qutrit_point_reaches_the_gate(self, capsys, tmp_path, params):
+        """A seeded observable is found at the README qutrit points; the
+        default grid is then refused at the conditioning gate (exit 3), not
+        at the observable search (exit 1)."""
+        rho = write_matrix(tmp_path / "rho.json", np.eye(3) / 3)
+        code = main(
+            ["reconstruct", "--model", "three-level", "--params", params,
+             "--observable-seed", "0", "--rho0", rho]
+        )
         assert code == 3
         assert "condition" in capsys.readouterr().err
 
@@ -449,6 +490,12 @@ class TestTolerance:
         code = main([f"--tol={tol}", "analyze", "--model", "two-level", "--params", "0.2,0.2,0.3"])
         assert_one_line_error(capsys, code)
 
+    def test_tol_read_as_an_option_exits_1(self, capsys):
+        """argparse reads ``-inf`` as an option: a usage error, exit 1."""
+        code = main(["--tol", "-inf", "analyze", "--model", "two-level", "--params", "0.1,0.2,0.3"])
+        assert "--tol" in assert_one_line_error(capsys, code)
+
+
     @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
     def test_tol_reaches_every_rank_decision(self, capsys, tmp_path, monkeypatch, command):
         """Every tolerance the subcommand hands to matcore is the --tol value."""
@@ -491,6 +538,17 @@ class TestTolerance:
             assert [int(row[5]), int(row[6]), float(row[7])] == [
                 spectral["eta"], spectral["mu"], spectral["discriminant"][0]
             ]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,needle", [
+        (["analyze", "--model", "two-level"], "--params"),
+        (["analyze", "--model", "four-level", "--params", "0.1"], "--model"),
+        ([], "command"),
+        (["reconstruct", *WORKED_ARGS, "--observable-seed", "x"], "--observable-seed"),
+    ])
+    def test_exit_1_with_one_line(self, capsys, argv, needle):
+        assert needle in assert_one_line_error(capsys, main(argv))
 
 
 class TestSchemaRoundTrips:
@@ -539,24 +597,25 @@ def test_python_m_strobetomo_runs_the_cli():
 
 
 def test_scipy_loads_only_where_it_is_used(tmp_path):
-    """Importing the package, analyze and scan leave scipy.linalg unloaded;
-    reconstruct loads it on first use of the matrix exponential."""
+    """scipy is used nowhere: importing the package and running every
+    subcommand leave it unloaded."""
+    q = write_matrix(tmp_path / "q.json", [[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
     rho = write_matrix(tmp_path / "rho.json", [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     script = f"""
 import sys
 import strobetomo
 from strobetomo.cli import main
-assert "scipy.linalg" not in sys.modules, "import"
 assert main(["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3",
              "--output", {str(tmp_path / "analyze.json")!r}]) == 0
+assert main(["check-observable", "--model", "two-level", "--params", "0.1,0.2,0.3",
+             "--observable", {q!r}, "--output", {str(tmp_path / "check.json")!r}]) == 0
 assert main(["scan", "--model", "three-level", "--a1", "0.1", "--a2", "0.15",
              "--a3", "0.2", "--a4", "0.05", "--a5", "0.08", "--a6", "0.04:0.08:0.02",
              "--output", {str(tmp_path / "scan.csv")!r}]) == 0
-assert "scipy.linalg" not in sys.modules, "analyze or scan"
 assert main(["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.3",
              "--observable-seed", "5", "--rho0", {rho!r},
              "--output", {str(tmp_path / "reconstruct.json")!r}]) == 0
-assert "scipy.linalg" in sys.modules, "reconstruct"
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
 """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = [src, os.environ.get("PYTHONPATH", "")]

@@ -3,12 +3,11 @@ import pytest
 
 from strobetomo import matcore
 from strobetomo.matcore import (
-    ConditioningError,
+    NumericalFailure,
     eig,
-    expm_apply,
+    eigh,
     hs_inner,
-    rank_with_tol,
-    solve,
+    propagate,
     unvec,
     vec,
 )
@@ -123,68 +122,70 @@ class TestEig:
         np.testing.assert_allclose(sorted(z.real for z in spec.distinct_values()), [1.0, 3.0])
 
 
+class TestEigh:
+    def test_reconstructs_hermitian_matrix(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m = x + x.conj().T
+        values, vectors = eigh(m)
+        assert np.all(np.diff(values) >= 0)
+        np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose((vectors * values) @ vectors.conj().T, m, atol=1e-12)
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            eigh(np.array([[0.0, 1e-11], [0.0, 0.0]]))
+        eigh(np.array([[0.0, 1e-13], [0.0, 0.0]]))  # Hermitian to 1e-12
+        with pytest.raises(ValueError, match="square"):
+            eigh(np.ones((2, 3)))
+
+    def test_maps_solver_failure(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            eigh(np.eye(2))
+
+
 class TestExpmApply:
+    """The action of the matrix exponential, exp(m t) v, through ``propagate``
+    on one ``eigh`` of a Hermitian m."""
+
     def test_t_zero_is_identity(self):
         m = np.random.default_rng(4).standard_normal((5, 5))
         v = np.arange(5.0)
-        np.testing.assert_array_equal(expm_apply(m, 0.0, v), v)
+        np.testing.assert_allclose(propagate(eigh(m + m.T), v, [0.0])[0], v, atol=1e-13)
 
     def test_matches_eigendecomposition(self):
+        """Against the exponential series, summed to convergence."""
         rng = np.random.default_rng(5)
         for _ in range(10):
-            m = rng.standard_normal((4, 4))
-            m = m + m.T  # symmetric, easy to exponentiate independently
-            v = rng.standard_normal(4)
-            w, u = np.linalg.eigh(m)
-            expected = u @ (np.exp(0.37 * w) * (u.T @ v))
-            np.testing.assert_allclose(expm_apply(m, 0.37, v), expected, atol=1e-12)
+            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = x + x.conj().T
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            expected, term = v.copy(), v.copy()
+            for k in range(1, 60):
+                term = 0.37 * m @ term / k
+                expected = expected + term
+            np.testing.assert_allclose(propagate(eigh(m), v, [0.37])[0], expected, atol=1e-12)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(6)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        system = eigh(-(x @ x.conj().T))
         v = rng.standard_normal(3)
-        one_step = expm_apply(m, 0.8, v)
-        two_step = expm_apply(m, 0.5, expm_apply(m, 0.3, v))
-        np.testing.assert_allclose(one_step, two_step, atol=1e-12)
+        rows = propagate(system, v, [0.3, 0.8])
+        assert rows.shape == (2, 3)
+        np.testing.assert_allclose(rows[1], propagate(system, rows[0], [0.5])[0], atol=1e-12)
 
-
-class TestRankWithTol:
-    def test_full_rank(self):
-        assert rank_with_tol(np.eye(3)) == 3
-
-    def test_detects_deficiency(self):
-        cols = [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        assert rank_with_tol(cols) == 2
-
-    def test_scaling_and_permutation_invariance(self):
-        cols = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1e-6, 0.0]), np.array([1.0, 1.0, 1.0])]
-        assert rank_with_tol(cols) == 3
-        assert rank_with_tol([c * 1e9 for c in cols]) == 3
-        assert rank_with_tol(cols[::-1]) == 3
-
-    def test_relative_tolerance_semantics(self):
-        # second vector deviates from the first by 1e-6 of its own norm:
-        # kept at the default 1e-9 relative tolerance, dropped at 1e-3
-        cols = [np.array([1.0, 0.0]), np.array([1.0, 1e-6])]
-        assert rank_with_tol(cols) == 2
-        assert rank_with_tol(cols, tol=1e-3) == 1
-
-
-class TestSolve:
-    def test_well_conditioned(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((4, 4)) + np.eye(4) * 4
-        x = rng.standard_normal(4)
-        res = solve(a, a @ x)
-        np.testing.assert_allclose(res.solution, x, atol=1e-10)
-        assert res.condition < 100
-
-    def test_raises_and_names_ill_conditioned_matrix(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-        with pytest.raises(ConditioningError) as err:
-            solve(a, np.ones(2), name="demo system", max_condition=1e12)
-        assert "demo system" in str(err.value)
-        assert err.value.condition > 1e12
+    def test_non_finite_result_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFailure, match="non-finite"
+        ):
+            propagate(eigh(np.eye(2)), np.ones(2), [1e3])
 
 
 class TestTolerancePlumbing:
@@ -193,11 +194,11 @@ class TestTolerancePlumbing:
         monkeypatch.setenv("STROBE_TOL", "abc")
         assert eig(np.diag([1.0, 2.0])).tolerance == matcore.DEFAULT_RANK_TOL
         assert eig(np.diag([1.0, 2.0]), tol=1e-6).tolerance == 1e-6
-        assert rank_with_tol([np.ones(2)]) == 1
+        assert matcore._rank_tol(None) == matcore.DEFAULT_RANK_TOL
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
             eig(np.eye(2), tol=tol)
         with pytest.raises(ValueError, match="finite and positive"):
-            rank_with_tol([np.ones(2)], tol=tol)
+            matcore._rank_tol(tol)

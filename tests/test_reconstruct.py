@@ -14,7 +14,6 @@ from strobetomo.matcore import ConditioningError
 from strobetomo.reconstruct import (
     MeasurementRecord,
     TimeGrid,
-    _herm_coords,
     _hermitian_basis,
     default_time_grid,
     evolve,
@@ -213,28 +212,44 @@ class TestPlan:
         basis = _hermitian_basis(2)
         for _ in range(5):
             rho = random_density(rng, 2)
+            coords = np.array([np.trace(b @ rho).real for b in basis])
             records = simulate_records(GEN_2, Q_2, rho, grid, "exact")
             np.testing.assert_allclose(
-                p.forward_matrix @ _herm_coords(rho, basis),
+                p.forward_matrix @ coords,
                 [r.value for r in records],
                 atol=1e-12,
             )
 
-    def test_condition_matches_pauli_closed_form(self):
+    @staticmethod
+    def pauli_closed_form_condition(q, times):
         """The qubit channel is a Pauli channel: sigma_k components decay at
         r_k = -2 gamma (sum of the two other coefficients), so the reduced rows
         are sqrt(2) q_k e^{r_k t_j} in the basis sigma_k / sqrt(2)."""
         a1, a2, a3 = 0.1, 0.2, 0.3
         rates = -2.0 * np.array([a2 + a3, a1 + a3, a1 + a2])
+        qk = np.array([q[0, 1].real, -q[0, 1].imag, (q[0, 0] - q[1, 1]).real / 2])
+        rows = np.sqrt(2.0) * qk * np.exp(np.outer(times, rates))
+        sv = np.linalg.svd(rows, compute_uv=False)
+        return sv[0] / sv[-1]
+
+    def test_condition_matches_pauli_closed_form(self):
         grid = default_time_grid(GEN_2, 3)
-        times = np.array(grid.instants)
         for seed in range(5):
             q = random_admissible_observable(GEN_2, seed).matrix
-            qk = np.array([q[0, 1].real, -q[0, 1].imag, (q[0, 0] - q[1, 1]).real / 2])
-            rows = np.sqrt(2.0) * qk * np.exp(np.outer(times, rates))
-            sv = np.linalg.svd(rows, compute_uv=False)
             p = plan(GEN_2, q, grid)
-            assert p.condition_reduced == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+            expected = self.pauli_closed_form_condition(q, np.array(grid.instants))
+            assert p.condition_reduced == pytest.approx(expected, rel=1e-10)
+
+    def test_late_grid_condition_matches_closed_form(self):
+        """At late instants every decaying mode is tiny; rounding of the
+        stationary mode must not leak into the reduced rows, or the
+        condition number (and the gate's verdict) is wrong."""
+        grid = TimeGrid(instants=(50.0, 55.0, 60.0), horizon=60.0)
+        expected = self.pauli_closed_form_condition(Q_2, np.array(grid.instants))
+        assert expected > 1e11
+        with pytest.raises(ConditioningError) as err:
+            plan(GEN_2, Q_2, grid)
+        assert err.value.condition == pytest.approx(expected, rel=1e-6)
 
     def test_wrong_instant_count(self):
         grid = TimeGrid(instants=(0.2, 0.5), horizon=1.0)
@@ -246,6 +261,12 @@ class TestPlan:
         grid = TimeGrid(instants=(0.3, 0.6, 1.0), horizon=1.0)
         with pytest.raises(ValueError, match="eta"):
             plan(gen, Q_2, grid)
+
+    def test_non_trace_preserving_generator_rejected(self):
+        """The trace column is Tr Q / sqrt(n) only when vec(I)^dagger L = 0."""
+        grid = default_time_grid(GEN_2, 3)
+        with pytest.raises(ValueError, match="trace-preserving"):
+            plan(GEN_2 - 0.1 * np.eye(4), Q_2, grid)
 
     def test_inadmissible_observable_rejected(self):
         grid = default_time_grid(GEN_2, 3)
