@@ -12,12 +12,16 @@ Two concrete families are provided, plus a generic Lindblad route:
 Both family generators are linear in the parameters,
 ``L = gamma sum_k a_k D(B_k)``, where ``D(B_k)`` is the dissipator of the
 k-th Pauli or Gell-Mann matrix.  The dissipators are built once at import,
-with the same formula :func:`generator_from_lindblad` uses, so a family
-generator is one contraction of the rates with a fixed stack.  Both
-generators are *real symmetric* matrices in vectorized form, hence
-diagonalizable with a real spectrum, and both spectra are available in
-closed form.  The closed forms are exposed separately so that numerical
-eigendecompositions can be cross-checked against exact arithmetic.
+with the same formula :func:`generator_from_lindblad` uses, and they are
+real.  A whole array of parameter points is validated by one array rule
+(``_family_domain``, which ``validate_*`` read their flags from) and turned
+into a real (k, n^2, n^2) generator stack by one fixed-order sum over the
+dissipators (``_family_generators``); a single point is the k = 1 row, bit
+for bit.  Both generators are *real symmetric* matrices in vectorized
+form, hence diagonalizable with a real spectrum, and both spectra are
+available in closed form.  The closed forms are exposed separately so that
+numerical eigendecompositions can be cross-checked against exact
+arithmetic.
 
 Operator bases are normalized to ``Tr(B_i B_j) = 2 delta_ij`` (standard
 Pauli/Gell-Mann convention).  The dependent-coefficient identities above
@@ -223,12 +227,56 @@ class ValidityReport:
         return self.cptp_domain and self.nondegenerate
 
 
-def _pairwise_distinct(values, scale: float) -> bool:
-    """Smallest pairwise gap above ``_DISTINCT_RTOL * scale``.  Rounded
+def _pairwise_distinct(values, scale):
+    """Smallest pairwise gap along the last axis above
+    ``_DISTINCT_RTOL * scale``, for each leading index.  Rounded
     subtraction is monotone, so the smallest gap is between sorted
     neighbours."""
-    v = sorted(map(float, values))
-    return bool(min(b - a for a, b in zip(v, v[1:])) > _DISTINCT_RTOL * max(scale, 1e-300))
+    v = np.sort(values, axis=-1)
+    return (v[..., 1:] - v[..., :-1]).min(axis=-1) > _DISTINCT_RTOL * np.maximum(scale, 1e-300)
+
+
+def _family_domain(points):
+    """The domain rule of both families over a (k, d) array of points.
+
+    ``d`` is 3 for the qubit family (a1, a2, a3) and 6 for the qutrit
+    family (a1..a6).  Returns the (k, m) Kraus coefficients (the qutrit's
+    a7 and a8 appended), the channel bound (a1+a2+a3, or the completeness
+    factor f), and the ``cptp_domain`` and ``nondegenerate`` flags, each of
+    shape (k,).  Every quantity is summed in the order the parameter
+    records use, so a row's flags are those of the point on its own.
+    """
+    a = np.asarray(points, dtype=float)
+    s3 = a[:, 0] + a[:, 1] + a[:, 2]
+    if a.shape[1] == 3:
+        coeffs, bound = a, s3
+    else:
+        a7 = a[:, 3] + a[:, 4] - a[:, 5]
+        a8 = s3 - a[:, 3] - a[:, 4]
+        coeffs = np.concatenate([a, a7[:, None], a8[:, None]], axis=1)
+        bound = (2.0 / 3.0) * (2 * s3 + a[:, 3] + a[:, 4])
+    cptp = ~((coeffs < 0).any(axis=1) | (bound > 1))
+    scale = np.abs(coeffs).max(axis=1)
+    distinct = _pairwise_distinct(coeffs, np.where(scale > 0, scale, 1.0))
+    return coeffs, bound, cptp, distinct
+
+
+def _validity(point, names, bound_message: str, tie_message: str) -> ValidityReport:
+    """:class:`ValidityReport` of one point: the flags of :func:`_family_domain`
+    plus a message for each broken condition."""
+    coeffs, bound, cptp, distinct = (x[0] for x in _family_domain([point]))
+    violations = [
+        f"{name} = {val} violates nonnegativity"
+        for name, val in zip(names, coeffs.tolist())
+        if val < 0
+    ]
+    if bound > 1:
+        violations.append(bound_message.format(float(bound)))
+    if not distinct:
+        violations.append(tie_message)
+    return ValidityReport(
+        cptp_domain=bool(cptp), nondegenerate=bool(distinct), violations=tuple(violations)
+    )
 
 
 def validate_two_level(p: TwoLevelParams) -> ValidityReport:
@@ -238,18 +286,12 @@ def validate_two_level(p: TwoLevelParams) -> ValidityReport:
     of the generator spectrum is equivalent to pairwise distinctness of
     {a1, a2, a3}.
     """
-    violations = []
-    for name, val in (("a1", p.a1), ("a2", p.a2), ("a3", p.a3)):
-        if val < 0:
-            violations.append(f"{name} = {val} violates nonnegativity")
-    s = p.a1 + p.a2 + p.a3
-    if s > 1:
-        violations.append(f"a1+a2+a3 = {s} exceeds the channel bound 1")
-    cptp = not violations
-    distinct = _pairwise_distinct(p.coefficients, scale=max(abs(v) for v in p.coefficients) or 1.0)
-    if not distinct:
-        violations.append("coefficients {a1, a2, a3} are not pairwise distinct")
-    return ValidityReport(cptp_domain=cptp, nondegenerate=distinct, violations=tuple(violations))
+    return _validity(
+        p.coefficients,
+        ("a1", "a2", "a3"),
+        "a1+a2+a3 = {} exceeds the channel bound 1",
+        "coefficients {a1, a2, a3} are not pairwise distinct",
+    )
 
 
 def validate_three_level(p: ThreeLevelParams) -> ValidityReport:
@@ -261,21 +303,12 @@ def validate_three_level(p: ThreeLevelParams) -> ValidityReport:
     {a1..a6, a7, a8}, which is equivalent to simplicity of the closed-form
     spectrum on the CPTP domain.
     """
-    violations = []
-    named = list(zip(("a1", "a2", "a3", "a4", "a5", "a6"), (p.a1, p.a2, p.a3, p.a4, p.a5, p.a6)))
-    named.append(("a7 = a4+a5-a6", p.a7))
-    named.append(("a8 = a1+a2+a3-a4-a5", p.a8))
-    for name, val in named:
-        if val < 0:
-            violations.append(f"{name} = {val} violates nonnegativity")
-    f = p.completeness_factor
-    if f > 1:
-        violations.append(f"completeness factor (2/3)(2a1+2a2+2a3+a4+a5) = {f} exceeds 1")
-    cptp = not violations
-    distinct = _pairwise_distinct(p.coefficients, scale=max(abs(v) for v in p.coefficients) or 1.0)
-    if not distinct:
-        violations.append("coefficients {a1..a6, a7, a8} are not pairwise distinct")
-    return ValidityReport(cptp_domain=cptp, nondegenerate=distinct, violations=tuple(violations))
+    return _validity(
+        p.coefficients[:6],
+        ("a1", "a2", "a3", "a4", "a5", "a6", "a7 = a4+a5-a6", "a8 = a1+a2+a3-a4-a5"),
+        "completeness factor (2/3)(2a1+2a2+2a3+a4+a5) = {} exceeds 1",
+        "coefficients {a1..a6, a7, a8} are not pairwise distinct",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +395,10 @@ def _dissipator(v: np.ndarray) -> np.ndarray:
 
 
 #: D(sigma_k) for k = 1..3, shape (3, 4, 4), and D(lambda_k) for k = 1..8,
-#: shape (8, 9, 9).
-_PAULI_DISSIPATORS = np.array([_dissipator(s) for s in _PAULI])
-_GELLMANN_DISSIPATORS = np.array([_dissipator(g) for g in _GELLMANN])
+#: shape (8, 9, 9).  Each Pauli and Gell-Mann matrix is real or imaginary,
+#: so every dissipator is real and the stacks keep the real part alone.
+_PAULI_DISSIPATORS = np.array([_dissipator(s) for s in _PAULI]).real
+_GELLMANN_DISSIPATORS = np.array([_dissipator(g) for g in _GELLMANN]).real
 
 
 def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
@@ -378,13 +412,25 @@ def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     return gen
 
 
-def _family_generator(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
-    """gamma sum_k a_k D(B_k) over the family's dissipator stack.
+def _family_generators(coeffs, gamma: float) -> np.ndarray:
+    """Real (k, n^2, n^2) stack gamma sum_j coeffs[:, j] D(B_j).
 
-    Performs no domain check: for callers that have validated ``p``.
+    ``coeffs`` is (k, 3) for the qubit family and (k, 8) for the qutrit
+    one (all eight Kraus coefficients).  The terms are added elementwise in
+    a fixed order, so a row's bits do not depend on k.  Performs no domain
+    check: for callers that have validated the points.
     """
-    stack = _PAULI_DISSIPATORS if isinstance(p, TwoLevelParams) else _GELLMANN_DISSIPATORS
-    return np.tensordot(p.gamma * np.array(p.coefficients), stack, axes=1)
+    rates = gamma * np.asarray(coeffs, dtype=float)[:, :, None, None]
+    stack = _PAULI_DISSIPATORS if rates.shape[1] == 3 else _GELLMANN_DISSIPATORS
+    gens = rates[:, 0] * stack[0]
+    for j in range(1, len(stack)):
+        gens += rates[:, j] * stack[j]
+    return gens
+
+
+def _family_generator(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
+    """The k = 1 row of :func:`_family_generators` for one parameter record."""
+    return _family_generators([p.coefficients], p.gamma)[0]
 
 
 def generator_two_level(p: TwoLevelParams) -> np.ndarray:

@@ -19,12 +19,27 @@ the ``t,value,shots`` layout of :mod:`strobetomo.reconstruct`.
 
 The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
 one invocation; it must be finite and positive.  It is passed explicitly to
-every spectral, span and planning call the subcommand makes.
+every spectral, span and planning call the subcommand makes.  ``--gamma``
+must be finite and positive too; both are checked before any work.
+
+``scan`` draws its grid points lazily, in lexicographic order, in chunks
+of ``SCAN_CHUNK`` (4,096) points.  Each chunk is validated, built into a
+generator stack, decomposed by one batched ``eigvalsh`` and formatted as
+arrays, and its rows are written as soon as it is done, so memory does not
+grow with the grid.  ``--workers N`` spreads the chunks over N processes
+with ``Pool.imap``, which keeps their order.  ``analyze`` reads its
+spectral block off the same kernel, so a scan row equals ``analyze`` at the
+same point bit for bit, and the CSV is byte-identical whatever the chunk
+size or worker count.  Discriminants agree with the general
+:func:`~strobetomo.analysis.spectral_report` route to about 1e-12 relative;
+one that overflows reads ``inf``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -40,6 +55,15 @@ CHECK_OBSERVABLE_SCHEMA_VERSION = "3"
 
 #: Hard cap on scan grid size.
 SCAN_POINT_CAP = 10_000_000
+
+#: Grid points a scan validates, decomposes and writes as one batch.
+SCAN_CHUNK = 4096
+
+#: Scan axes of each model, in CSV column order.
+SCAN_AXES = {
+    "two-level": ("a1", "a2", "a3"),
+    "three-level": ("a1", "a2", "a3", "a4", "a5", "a6"),
+}
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -157,8 +181,7 @@ def cmd_analyze(args) -> int:
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
 
-    gen = channels._family_generator(params)
-    report = analysis.spectral_report(gen, tol=args.tol)
+    report = analysis._family_report(channels._family_generator(params), args.tol)
     opt = analysis._optimality(report)
 
     payload = {
@@ -388,25 +411,24 @@ def _axis(lo: float, step: float, count: int) -> list[float]:
     return [lo + k * step for k in range(count)]
 
 
-def _scan_point(task) -> list[str]:
-    """One CSV row; returns strings so formatting is fixed at the worker."""
-    model, values, gamma, tol = task
-    if model == "two-level":
-        params = channels.TwoLevelParams(*values, gamma=gamma)
-        validity = channels.validate_two_level(params)
-    else:
-        params = channels.ThreeLevelParams(*values, gamma=gamma)
-        validity = channels.validate_three_level(params)
-    row = [repr(v) for v in values]
-    row.append("true" if validity.cptp_domain else "false")
-    row.append("true" if validity.nondegenerate else "false")
-    if validity.cptp_domain:
-        gen = channels._family_generator(params)
-        report = analysis.spectral_report(gen, tol=tol)
-        row += [str(report.eta), str(report.mu), repr(float(report.discriminant.real))]
-    else:
-        row += ["", "", ""]
-    return row
+def _scan_chunk(job) -> str:
+    """CSV rows of one chunk of grid points, validated, built, decomposed
+    and formatted as arrays; returns text so formatting is fixed at the
+    worker."""
+    points, gamma, tol = job
+    coeffs, _, cptp, distinct = channels._family_domain(points)
+    spectra = analysis._family_spectra(channels._family_generators(coeffs[cptp], gamma), tol)
+    cells = zip(spectra.eta.tolist(), spectra.mu.tolist(), spectra.discriminant.tolist())
+    flag = ("false", "true")
+    lines = []
+    for point, in_domain, simple in zip(points, cptp.tolist(), distinct.tolist()):
+        head = ",".join(map(repr, point)) + f",{flag[in_domain]},{flag[simple]},"
+        if in_domain:
+            eta, mu, disc = next(cells)
+            lines.append(f"{head}{eta},{mu},{disc!r}\n")
+        else:
+            lines.append(f"{head},,\n")
+    return "".join(lines)
 
 
 def cmd_scan(args) -> int:
@@ -414,7 +436,11 @@ def cmd_scan(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         return _fail(f"--workers must be between 1 and {cpus}, got {args.workers}")
-    names = ("a1", "a2", "a3") if model == "two-level" else ("a1", "a2", "a3", "a4", "a5", "a6")
+    names = SCAN_AXES[model]
+    stray = [f"--{name}" for name in SCAN_AXES["three-level"][len(names):]
+             if getattr(args, name) is not None]
+    if stray:
+        return _fail(f"not an axis of the {model} model: {', '.join(stray)}")
     try:
         ranges = []
         for name in names:
@@ -430,39 +456,28 @@ def cmd_scan(args) -> int:
         total *= count
     if total > SCAN_POINT_CAP:
         return _fail(f"grid holds {total} points, above the {SCAN_POINT_CAP} cap")
-    axes = [_axis(*r) for r in ranges]
 
-    tasks = []
-    indices = [0] * len(axes)
-    # Lexicographic order over grid indices, last axis fastest.
-    while True:
-        values = tuple(axes[i][indices[i]] for i in range(len(axes)))
-        tasks.append((model, values, args.gamma, args.tol))
-        for i in reversed(range(len(axes))):
-            indices[i] += 1
-            if indices[i] < len(axes[i]):
-                break
-            indices[i] = 0
+    # Lexicographic order over grid indices, last axis fastest, drawn
+    # lazily one chunk at a time.
+    points = itertools.product(*(_axis(*r) for r in ranges))
+    jobs = (
+        (chunk, args.gamma, args.tol)
+        for chunk in iter(lambda: list(itertools.islice(points, SCAN_CHUNK)), [])
+    )
+    header = ",".join(names + ("cptp_domain", "nondegenerate", "eta", "mu", "discriminant"))
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open(args.output, "w", newline="")) if args.output else sys.stdout
+        if args.workers > 1:
+            import multiprocessing
+
+            # spawn, not fork: the parent may hold BLAS or pool threads.
+            context = multiprocessing.get_context("spawn")
+            pool = stack.enter_context(context.Pool(args.workers))
+            chunks = pool.imap(_scan_chunk, jobs)  # imap keeps the chunk order
         else:
-            break
-
-    if args.workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(args.workers) as pool:
-            rows = pool.map(_scan_point, tasks)  # map preserves task order
-    else:
-        rows = [_scan_point(t) for t in tasks]
-
-    header = list(names) + ["cptp_domain", "nondegenerate", "eta", "mu", "discriminant"]
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            chunks = map(_scan_chunk, jobs)
+        out.write(header + "\n")
+        out.writelines(chunks)
     return EXIT_OK
 
 
@@ -551,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = subs.add_parser("scan", help="sweep parameter grids to CSV")
     p_scan.add_argument("--model", required=True, choices=["two-level", "three-level"])
-    for name in ("a1", "a2", "a3", "a4", "a5", "a6"):
+    for name in SCAN_AXES["three-level"]:
         p_scan.add_argument(f"--{name}", help=f"{name} value or lo:hi:step range")
     p_scan.add_argument("--gamma", type=float, default=1.0)
     p_scan.add_argument(
@@ -570,6 +585,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     if not (np.isfinite(args.tol) and args.tol > 0):
         return _fail(f"--tol must be finite and positive, got {args.tol}")
+    if not (np.isfinite(args.gamma) and args.gamma > 0):
+        return _fail(f"--gamma must be finite and positive, got {args.gamma}")
     try:
         return args.func(args)
     except BrokenPipeError:

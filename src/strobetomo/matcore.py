@@ -15,9 +15,10 @@ Conventions fixed once and for all:
   ``1e-9``; every function in the package taking a ``tol`` argument reads
   ``None`` as that default.
 * Eigenvalues are reported sorted by (real, imaginary) part, and values
-  within ``1e-8`` of each other relative to the spectral diameter are
-  clustered before multiplicities and indices are computed: numerical
-  eigensolvers never return exactly equal values for a degenerate pair.
+  within ``1e-8`` of each other relative to the larger of the spectral
+  diameter and the spectral norm are clustered before multiplicities and
+  indices are computed: numerical eigensolvers never return exactly equal
+  values for a degenerate pair.
 
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
@@ -52,8 +53,9 @@ __all__ = [
 #: for O(1) entries at up to 16x16 superoperator scale.
 DEFAULT_RANK_TOL = 1e-9
 
-#: Eigenvalues closer than this fraction of the spectral diameter are
-#: treated as a single degenerate cluster.
+#: Eigenvalues closer than this fraction of the spectral scale (the larger
+#: of the spectral diameter and the spectral norm) are treated as a single
+#: degenerate cluster.
 CLUSTER_TOL = 1e-8
 
 
@@ -179,9 +181,13 @@ def eig(m, tol: float | None = None) -> Spectrum:
     """Full spectrum with clustered multiplicities and indices.
 
     Eigenvalues are sorted by (real, imaginary) part.  Values within
-    ``CLUSTER_TOL`` x spectral diameter are treated as one degenerate
-    cluster of algebraic multiplicity ``a``.  Its geometric multiplicity is
-    the numerical nullity of ``m - lambda I`` at the given rank tolerance;
+    ``CLUSTER_TOL`` x max(spectral diameter, ||m||_2) are treated as one
+    degenerate cluster of algebraic multiplicity ``a``.  The norm floor
+    stops a spectrum that is one perturbed defective eigenvalue from being
+    clustered at the scale of its own spread; that spread, about
+    sqrt(eps) ||m|| for an index of 2, is close to the floor, so such a
+    cluster can still split.  Its geometric multiplicity is the numerical
+    nullity of ``m - lambda I`` at the given rank tolerance;
     its index is the smallest k >= 1 at which the nullity of
     ``(m - lambda I)^k`` reaches ``a``.  Clusters with geometric = algebraic
     multiplicity (every cluster of a diagonalizable ``m``) have index 1 and
@@ -200,7 +206,10 @@ def eig(m, tol: float | None = None) -> Spectrum:
     values = values[order]
 
     diameter = float(np.max(np.abs(values[:, None] - values[None, :]))) if values.size > 1 else 0.0
-    tol_abs = CLUSTER_TOL * diameter
+    # ||m||_2 is max |lambda| for a Hermitian m, which saves an SVD.
+    hermitian = np.array_equal(m, m.conj().T)
+    norm = np.max(np.abs(values)) if hermitian else np.linalg.norm(m, 2)
+    tol_abs = CLUSTER_TOL * max(diameter, float(norm))
     dim = m.shape[0]
 
     clusters: list[tuple[complex, int, int]] = []

@@ -248,7 +248,6 @@ class ReconstructionPlan:
     acting on the unknown coordinates, the known trace column removed.
     """
 
-    generator: np.ndarray
     observable: analysis.ObservableSpec
     grid: TimeGrid
     reduced_matrix: np.ndarray
@@ -322,7 +321,6 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
             matrix_name="reduced coefficient matrix",
         )
     return ReconstructionPlan(
-        generator=gen,
         observable=obs,
         grid=grid,
         reduced_matrix=reduced,

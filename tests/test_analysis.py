@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from strobetomo.analysis import (
     ObservableSpec,
+    _family_report,
+    _family_spectra,
     optimality_report,
     random_admissible_observable,
     span_check,
@@ -16,6 +18,7 @@ from strobetomo.channels import (
     LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
+    _family_generators,
     closed_form_spectrum_three_level,
     closed_form_spectrum_two_level,
     generator_from_lindblad,
@@ -195,6 +198,68 @@ class TestSpectralReport:
         report = spectral_report(generator_three_level(p))
         eta, distinct = closed_form_counts(closed_form_spectrum_three_level(p))
         assert (report.eta, report.mu) == (eta, distinct)
+
+
+def assert_matches_general_route(gen, tol):
+    """The kernel's report equals spectral_report's: same clusters, eta and
+    mu, discriminants within 1e-12 relative (zero together)."""
+    fast = _family_report(gen, tol)
+    slow = spectral_report(gen, tol)
+    assert (fast.eta, fast.mu, fast.tolerance) == (slow.eta, slow.mu, slow.tolerance)
+    assert [c[1:] for c in fast.spectrum.clusters] == [c[1:] for c in slow.spectrum.clusters]
+    if slow.discriminant == 0:
+        assert fast.discriminant == 0
+    else:
+        assert abs(fast.discriminant - slow.discriminant) <= 1e-12 * abs(slow.discriminant)
+
+
+tols = st.sampled_from([1e-9, 1e-6])
+
+
+class TestFamilySpectra:
+    """The batched eigvalsh kernel that analyze and scan share."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=lattice_two_level(), gamma=gammas, tol=tols)
+    def test_two_level_matches_general_route(self, a, gamma, tol):
+        assert_matches_general_route(generator_two_level(TwoLevelParams(*a, gamma=gamma)), tol)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(a=lattice_three_level(), gamma=gammas, tol=tols)
+    def test_three_level_matches_general_route(self, a, gamma, tol):
+        p = ThreeLevelParams(*a, gamma=gamma)
+        assume(validate_three_level(p).cptp_domain)
+        assert_matches_general_route(generator_three_level(p), tol)
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(points=st.lists(lattice_three_level(), min_size=1, max_size=9), gamma=gammas)
+    def test_rows_do_not_depend_on_the_stack(self, points, gamma):
+        coeffs = [ThreeLevelParams(*a).coefficients for a in points]
+        stack = _family_spectra(_family_generators(coeffs, gamma), None)
+        for i, c in enumerate(coeffs):
+            one = _family_spectra(_family_generators([c], gamma), None)
+            for field in stack._fields[:-1]:
+                np.testing.assert_array_equal(getattr(stack, field)[i], getattr(one, field)[0])
+
+    def test_cluster_tolerance_floors_the_rank_cut(self):
+        """At a tiny rank tolerance the rounding spread of a tied pair (1e-16
+        here, from a1 = a2) still counts as two null directions, as in the
+        general route."""
+        gen = generator_three_level(ThreeLevelParams(0.1, 0.1, 0.2, 0.05, 0.08, 0.06))
+        for tol in (1e-300, 1e-9):
+            assert_matches_general_route(gen, tol)
+            assert _family_report(gen, tol).eta == 2
+
+    def test_overflowing_discriminant_reads_inf(self):
+        with np.errstate(all="raise"):
+            huge = _family_report(generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, 1e200)), None)
+        unit = _family_report(GEN_2, None)
+        assert (huge.eta, huge.mu) == (unit.eta, unit.mu) == (1, 4)
+        assert huge.discriminant == np.inf
+
+    def test_empty_stack(self):
+        s = _family_spectra(np.zeros((0, 4, 4)), None)
+        assert s.eta.shape == s.mu.shape == s.discriminant.shape == (0,)
 
 
 class TestOptimalityReport:

@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from strobetomo import matcore
 from strobetomo.channels import (
     _DISTINCT_RTOL,
+    _family_domain,
+    _family_generator,
+    _family_generators,
     _pairwise_distinct,
     LindbladSpec,
     ThreeLevelParams,
@@ -323,6 +326,78 @@ class TestPairwiseDistinct:
     @given(values=near_tied_values(), scale=st.floats(0.0, 1e4))
     def test_matches_full_difference_table(self, values, scale):
         assert _pairwise_distinct(values, scale) == full_table_distinct(values, scale)
+
+
+def scalar_domain(point):
+    """(cptp_domain, nondegenerate) of one point by the per-point rule the
+    validators stated before the array rule: each coefficient >= 0, the
+    bound <= 1, sorted neighbours more than _DISTINCT_RTOL * scale apart."""
+    if len(point) == 3:
+        coeffs = list(point)
+        bound = point[0] + point[1] + point[2]
+    else:
+        a1, a2, a3, a4, a5, a6 = point
+        coeffs = [*point, a4 + a5 - a6, a1 + a2 + a3 - a4 - a5]
+        bound = (2.0 / 3.0) * (2 * (a1 + a2 + a3) + a4 + a5)
+    cptp = not any(v < 0 for v in coeffs) and not bound > 1
+    v = sorted(coeffs)
+    scale = max(abs(x) for x in coeffs) or 1.0
+    distinct = min(b - a for a, b in zip(v, v[1:])) > _DISTINCT_RTOL * max(scale, 1e-300)
+    return cptp, distinct
+
+
+@st.composite
+def boundary_point(draw, d):
+    """A point on or one ulp beside a domain boundary: a_i = 0, the bound
+    equal to 1 (a1+a2+a3 or f), a7 = 0, a8 = 0, or a tie."""
+    a = [draw(st.sampled_from([0.0, 0.05, 0.1, 0.125, 0.2, 1 / 3]) | st.floats(0.0, 0.4))
+         for _ in range(d)]
+    i = draw(st.integers(0, d - 1))
+    edge = draw(st.sampled_from(["zero", "bound", "a7", "a8", "tie"]))
+    if edge == "zero":
+        a[i] = 0.0
+    elif edge == "bound" and d == 3:
+        a[i] = 1.0 - a[(i + 1) % 3] - a[(i + 2) % 3]
+    elif edge == "bound":
+        i = 4
+        a[4] = 1.5 - 2 * (a[0] + a[1] + a[2]) - a[3]
+    elif edge == "a7" and d == 6:
+        i = 5
+        a[5] = a[3] + a[4]
+    elif edge == "a8" and d == 6:
+        i = 4
+        a[4] = a[0] + a[1] + a[2] - a[3]
+    else:
+        a[i] = a[(i + 1) % d]
+    step = draw(st.sampled_from([0, 0, -1, 1]))
+    if step:
+        a[i] = float(np.nextafter(a[i], step * np.inf))
+    return tuple(a)
+
+
+class TestFamilyDomain:
+    @pytest.mark.parametrize("d", [3, 6])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_array_rule_matches_scalar_rule_at_boundaries(self, d, data):
+        points = data.draw(st.lists(boundary_point(d), min_size=1, max_size=8))
+        _, _, cptp, distinct = _family_domain(np.array(points))
+        validate = validate_two_level if d == 3 else validate_three_level
+        params = TwoLevelParams if d == 3 else ThreeLevelParams
+        for point, c, n in zip(points, cptp.tolist(), distinct.tolist()):
+            report = validate(params(*point))
+            assert (c, n) == (report.cptp_domain, report.nondegenerate) == scalar_domain(point)
+            assert bool(report.violations) == (not (c and n))
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(points=st.lists(three_level_points(), min_size=1, max_size=9), gamma=gammas)
+    def test_stack_rows_are_single_generators(self, points, gamma):
+        """Row i of the stack is the generator of point i alone, bit for bit."""
+        params = [ThreeLevelParams(*a, gamma=gamma) for a in points]
+        stack = _family_generators([p.coefficients for p in params], gamma)
+        for row, p in zip(stack, params):
+            assert np.array_equal(row, _family_generator(p))
+        assert stack.dtype == np.float64
 
 
 class TestClosedFormSpectra:

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -110,18 +111,20 @@ class TestAnalyze:
         assert payload["spectral"]["tolerance"] == matcore.DEFAULT_RANK_TOL
 
     def test_decomposes_once(self, capsys, monkeypatch):
-        """The spectral and optimality blocks come from one eigendecomposition."""
+        """The spectral and optimality blocks come from one eigendecomposition:
+        the one batched ``eigvalsh`` of the scan kernel, and no other."""
         calls = []
-        eig = matcore.eig
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            original = getattr(np.linalg, name)
 
-        def counting_eig(*args, **kwargs):
-            calls.append(1)
-            return eig(*args, **kwargs)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(matcore, "eig", counting_eig)
+            monkeypatch.setattr(np.linalg, name, counting)
         code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
         assert code == 0
-        assert len(calls) == 1
+        assert calls == ["eigvalsh"]
         assert payload["optimality"]["eta"] == payload["spectral"]["eta"] == 1
 
 
@@ -413,6 +416,7 @@ class TestScan:
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         code = main(self.GRID_ARGS + ["--workers", str(workers)])
         captured = capsys.readouterr()
         assert code == 1
@@ -445,6 +449,93 @@ class TestScan:
         # a6 = 0.065 = (a4+a5)/2 is the degenerate midpoint; 0.04/0.06/0.08 are not on it
         for line in lines[1:]:
             assert line.split(",")[7] != "0.0"
+
+    def test_stray_axis_exits_1(self, capsys):
+        """A qutrit-only axis on a qubit scan is refused, not ignored."""
+        code = main(self.GRID_ARGS + ["--a4", "0.5"])
+        assert "--a4" in assert_one_line_error(capsys, code)
+
+    def test_overflowing_discriminant_reads_inf(self, capsys):
+        """At gamma 1e200 the discriminant overflows to inf in both scan and
+        analyze; eta and mu are those of gamma 1."""
+        point = ["--a1", "0.1", "--a2", "0.2", "--a3", "0.3"]
+        rows = {}
+        for gamma in ("1.0", "1e200"):
+            assert main(["scan", "--model", "two-level", "--gamma", gamma, *point]) == 0
+            rows[gamma] = capsys.readouterr().out.splitlines()[1].split(",")
+        assert rows["1e200"][3:7] == rows["1.0"][3:7] == ["true", "true", "1", "4"]
+        assert rows["1e200"][7] == "inf"
+        code, payload = run_json(
+            capsys, ["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3",
+                     "--gamma", "1e200"]
+        )
+        assert code == 0
+        spectral = payload["spectral"]
+        assert (spectral["eta"], spectral["mu"]) == (1, 4)
+        assert spectral["discriminant"] == [float("inf"), 0.0]
+
+
+def _scan_bytes(argv, tmp_path, monkeypatch, chunk, workers):
+    monkeypatch.setattr(cli, "SCAN_CHUNK", chunk)
+    path = tmp_path / f"scan-{chunk}-{workers}.csv"
+    assert main([*argv, "--workers", str(workers), "--output", str(path)]) == 0
+    return path.read_bytes()
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(
+    model=st.sampled_from(["two-level", "three-level"]),
+    lows=st.lists(st.floats(0.0, 0.1), min_size=6, max_size=6),
+    counts=st.lists(st.integers(1, 3), min_size=6, max_size=6),
+    step=st.floats(0.01, 0.06),
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_scan_bytes_do_not_depend_on_chunks_or_workers(model, lows, counts, step, gamma):
+    """Chunk sizes 1, 7 and 4096 and one or two workers write the same bytes."""
+    d = 3 if model == "two-level" else 6
+    argv = ["scan", "--model", model, "--gamma", repr(gamma)]
+    for i in range(d):
+        hi = lows[i] + (counts[i] - 0.5) * step
+        argv += [f"--a{i + 1}", f"{lows[i]!r}:{hi!r}:{step!r}"]
+    workers = min(2, os.cpu_count() or 1)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        blobs = {
+            (chunk, w): _scan_bytes(argv, pathlib.Path(tmp), mp, chunk, w)
+            for chunk, w in [(4096, 1), (1, 1), (7, 1), (7, workers), (4096, workers)]
+        }
+    first = blobs[(4096, 1)]
+    assert first.count(b"\n") == 1 + int(np.prod(counts[:d]))
+    assert all(blob == first for blob in blobs.values())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_scan_memory_does_not_grow_with_the_grid():
+    """A child's peak RSS after about 1e5 qubit points stays within 15 MB of
+    the same child's after 1e3: rows are written chunk by chunk.  The peak
+    is VmHWM, which starts afresh at exec; ``ru_maxrss`` would also count
+    the forked copy of this process."""
+    script = """
+import os, sys
+from strobetomo.cli import main
+hi = sys.argv[1]
+axis = f"0:{hi}:0.01"
+assert main(["scan", "--model", "two-level", "--a1", axis, "--a2", axis, "--a3", axis,
+             "--output", os.devnull]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    peak_kb = {}
+    for hi in ("0.09", "0.46"):  # 10^3 and 47^3 = 103,823 points
+        proc = subprocess.run(
+            [sys.executable, "-c", script, hi], capture_output=True, text=True, env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_kb[hi] = int(proc.stdout.split()[-1])
+    assert peak_kb["0.46"] - peak_kb["0.09"] <= 15 * 1024
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -538,6 +629,29 @@ class TestTolerance:
             assert [int(row[5]), int(row[6]), float(row[7])] == [
                 spectral["eta"], spectral["mu"], spectral["discriminant"][0]
             ]
+
+
+class TestGamma:
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
+    def test_non_finite_or_non_positive_gamma_exits_1(self, capsys, monkeypatch, command, gamma):
+        """Refused before any work: no generator is built."""
+
+        def no_generators(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(cli.channels, "_family_generators", no_generators)
+        argv = {
+            "analyze": ["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3"],
+            "check-observable": ["check-observable", "--model", "two-level",
+                                 "--params", "0.1,0.2,0.3", "--observable", "missing.json"],
+            "reconstruct": ["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.3",
+                            "--observable-seed", "5"],
+            "scan": ["scan", "--model", "two-level", "--a1", "0.1", "--a2", "0.2",
+                     "--a3", "0.3"],
+        }[command]
+        code = main([*argv, "--gamma", gamma])
+        assert assert_one_line_error(capsys, code).startswith("error: --gamma")
 
 
 class TestUsageErrors:

@@ -110,6 +110,18 @@ class TestEig:
         spec = eig(m)
         assert len(spec.clusters) == 2
 
+    def test_perturbed_defective_spectrum_is_one_cluster(self):
+        """Q (J2(-1) + J2(-1)) Q^T with a random orthogonal Q (seed 2): eigvals
+        spreads the fourfold -1 over about 1e-8, which is also the spectral
+        diameter.  The ||m||_2 floor of the cluster scale keeps it one
+        cluster with eta 2 and mu 2; a diameter scale splits it into four
+        singletons (eta 1, mu 4)."""
+        j = np.diag([-1.0] * 4) + np.diag([1.0, 0.0, 1.0], 1)
+        q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
+        spec = eig(q @ j @ q.T)
+        assert [c[1:] for c in spec.clusters] == [(4, 2)]
+        assert (spec.max_geometric_multiplicity, spec.min_poly_degree) == (2, 2)
+
     def test_sorting_is_by_real_then_imag(self):
         m = np.diag([1.0 + 1j, 1.0 - 1j, 0.5])
         spec = eig(m)
