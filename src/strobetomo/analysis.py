@@ -16,16 +16,16 @@ Three equivalent certificates are wired together here and cross-reported:
   off the same clustered eigendecomposition (for a diagonalizable
   generator, the number of distinct eigenvalues).
 
-:func:`spectral_report` takes the general route (:func:`matcore.eig`:
-complex eigenvalues plus one SVD per cluster) and accepts any square
-generator, Jordan blocks included.  The two family generators are real
-symmetric, so the CLI's ``analyze`` and ``scan`` read the same indices off
-one batched ``eigvalsh`` of a whole stack of them (``_family_spectra``):
-the same clustering rules specialised to a symmetric matrix, with eta, mu
-and the discriminant per row as arrays.  Each row depends on its own
-generator alone, so ``analyze`` and every scan row agree bit for bit; both
-agree with the general route on eta and mu and to about 1e-12 relative on
-the discriminant.
+There is one spectral route per kind of input.  Family generators are real
+symmetric, so ``_family_spectra`` reads their indices off their eigenvalues
+alone (the general rules specialised to a Hermitian matrix, per row as
+arrays): ``scan`` and ``analyze`` feed it one batched ``eigvalsh``, the
+default time grid and the plan the values of their ``matcore.eigh``, and
+``analyze`` equals every scan row bit for bit.  :func:`spectral_report` and
+:func:`optimality_report` take the general route (:func:`matcore.eig`:
+complex eigenvalues plus one SVD per cluster) for any square generator,
+Jordan blocks included; on family generators they agree with the kernel on
+eta and mu and to about 1e-12 relative on the discriminant.
 
 For a nonderogatory n^2 x n^2 generator mu equals n^2.  A widely quoted
 variant of this equivalence states mu = n^2 - 1 instead; that value is
@@ -177,28 +177,25 @@ class OptimalityReport:
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
     """Spectrum, index of cyclicity, min-poly degree and discriminant, all
     from one clustered eigendecomposition (the general route, for any
-    square generator)."""
+    square generator).  The discriminant is zero when any cluster merges and
+    is taken over the real parts when the spectrum is real."""
     spectrum = matcore.eig(gen, tol=tol)
-
-    disc = complex(1.0)
-    reps = [c[0] for c in spectrum.clusters for _ in range(c[1])]
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            d = reps[i] - reps[j]
-            disc *= d * d  # complex ** raises on overflow; * reads inf or nan
-
+    values = spectrum.eigenvalues
+    disc = 0.0
+    if len(spectrum.clusters) == spectrum.dim:
+        disc = _discriminant(values if values.imag.any() else values.real)
     return SpectralReport(
         spectrum=spectrum,
         eta=spectrum.max_geometric_multiplicity,
         mu=spectrum.min_poly_degree,
-        discriminant=disc,
+        discriminant=complex(disc),
         tolerance=spectrum.tolerance,
     )
 
 
 def _discriminant(values):
-    """prod_{i<j} (lambda_i - lambda_j)^2 along the last axis of a real
-    array; reads inf where the product overflows instead of raising."""
+    """prod_{i<j} (lambda_i - lambda_j)^2 along the last axis; reads inf
+    where the product overflows instead of raising."""
     i, j = np.triu_indices(values.shape[-1], 1)
     with np.errstate(over="ignore"):
         return np.prod((values[..., i] - values[..., j]) ** 2, axis=-1)
@@ -207,13 +204,12 @@ def _discriminant(values):
 class _FamilySpectra(NamedTuple):
     """Per-generator results of :func:`_family_spectra`, row i for generator i.
 
-    ``values`` (k, N) ascending; ``labels`` (k, N) the cluster of each
-    eigenvalue, numbered from 0; ``reps``, ``alg`` and ``geo`` (k, N) the
-    representative, algebraic and geometric multiplicity of that cluster;
-    ``eta``, ``mu`` and ``discriminant`` (k,).
+    ``labels`` (k, N) the cluster of each eigenvalue, numbered from 0;
+    ``reps``, ``alg`` and ``geo`` (k, N) the representative, algebraic and
+    geometric multiplicity of that cluster; ``eta``, ``mu`` and
+    ``discriminant`` (k,).
     """
 
-    values: np.ndarray
     labels: np.ndarray
     reps: np.ndarray
     alg: np.ndarray
@@ -224,32 +220,29 @@ class _FamilySpectra(NamedTuple):
     tolerance: float
 
 
-def _family_spectra(gens, tol: float | None) -> _FamilySpectra:
-    """Clustered spectra of a (k, N, N) stack of real symmetric generators,
-    from one batched ``eigvalsh``.
+def _family_spectra(values, tol: float | None) -> _FamilySpectra:
+    """Clustered spectra of k Hermitian (family) generators, from their
+    ascending eigenvalues ``values`` of shape (k, N), as ``eigvalsh`` or
+    :func:`~strobetomo.matcore.eigh` give them.
 
     The rules are :func:`~strobetomo.matcore.eig`'s, specialised to a
-    symmetric matrix, where ||L||_2 = max |lambda|, the singular values of
+    Hermitian matrix, where ||L||_2 = max |lambda|, the singular values of
     L - rep I are |lambda_i - rep| and every cluster has index 1:
 
-    * values closer than ``CLUSTER_TOL`` x max(diameter, max |lambda|)
-      chain into one cluster, and mu is the number of clusters;
+    * values chain into clusters by ``matcore._cluster_labels``, and mu is
+      the number of clusters;
     * a cluster's geometric multiplicity is the count of
-      |lambda_i - rep| <= max(tol max_i |lambda_i - rep|, that cluster
+      |lambda_i - rep| <= max(tol max_i |lambda_i - rep|, the cluster
       tolerance), capped to [1, algebraic]; eta is the largest;
     * the discriminant is zero when any cluster merges.
 
-    Each row depends on its own generator alone, so a stack of k gives the
-    bits of k separate calls.  The discriminant agrees with
+    Each row depends on its own eigenvalues alone, so a stack of k gives
+    the bits of k separate calls.  The discriminant agrees with
     :func:`spectral_report` to about 1e-12 relative.
     """
     tol = matcore._rank_tol(tol)
-    values = np.linalg.eigvalsh(gens)
     n = values.shape[1]
-    scale = np.maximum(values[:, -1] - values[:, 0], np.max(np.abs(values), axis=1))
-    tol_abs = matcore.CLUSTER_TOL * scale
-    labels = np.zeros(values.shape, dtype=int)
-    np.cumsum(np.diff(values, axis=1) > tol_abs[:, None], axis=1, out=labels[:, 1:])
+    labels, tol_abs = matcore._cluster_labels(values)
     same = labels[:, :, None] == labels[:, None, :]
     alg = np.sum(same, axis=2)
     reps = np.sum(np.where(same, values[:, None, :], 0.0), axis=2) / alg
@@ -258,17 +251,17 @@ def _family_spectra(gens, tol: float | None) -> _FamilySpectra:
     geo = np.clip(np.sum(dist <= cut[:, :, None], axis=2), 1, alg)
     mu = labels[:, -1] + 1
     disc = np.where(mu == n, _discriminant(values), 0.0)
-    return _FamilySpectra(values, labels, reps, alg, geo, np.max(geo, axis=1), mu, disc, tol)
+    return _FamilySpectra(labels, reps, alg, geo, np.max(geo, axis=1), mu, disc, tol)
 
 
-def _family_report(gen, tol: float | None) -> SpectralReport:
-    """:class:`SpectralReport` of one real symmetric family generator: the
-    k = 1 row of :func:`_family_spectra`, so it equals any scan row of the
-    same point bit for bit."""
-    s = _family_spectra(np.asarray(gen)[None], tol)
+def _family_report(values, tol: float | None) -> SpectralReport:
+    """:class:`SpectralReport` of one family generator from its ascending
+    eigenvalues, shape (1, N): the row of :func:`_family_spectra`, so it
+    equals any scan row of the same point bit for bit."""
+    s = _family_spectra(values, tol)
     first = np.flatnonzero(np.diff(s.labels[0], prepend=-1))
     spectrum = matcore.Spectrum(
-        eigenvalues=s.values[0].astype(complex),
+        eigenvalues=values[0].astype(complex),
         clusters=tuple(
             (complex(s.reps[0, a]), int(s.alg[0, a]), int(s.geo[0, a])) for a in first
         ),
@@ -292,7 +285,7 @@ def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
 def _optimality(report: SpectralReport) -> OptimalityReport:
     """The optimality certificates of an already computed spectral report."""
     dim = report.dim
-    disc_nonzero = _discriminant_nonzero(report)
+    disc_nonzero = all(alg == 1 for _, alg, _ in report.spectrum.clusters)  # no merged cluster
     optimal = report.eta == 1
 
     notes = []
@@ -326,11 +319,6 @@ def _optimality(report: SpectralReport) -> OptimalityReport:
     )
 
 
-def _discriminant_nonzero(report: SpectralReport) -> bool:
-    """Discriminant-nonzero at tolerance = all clusters simple."""
-    return all(alg == 1 for _, alg, _ in report.spectrum.clusters)
-
-
 def span_report(gen, observables, tol: float | None = None) -> SpanReport:
     """Do {I, Q_1, ...} and their orbits under L* span the operator space?
 
@@ -362,14 +350,15 @@ def _span_report(eigensystem, observables, tol: float | None) -> SpanReport:
 
     rank, margin = 0, np.inf
     row_norms = np.linalg.norm(coords, axis=1)  # a one-row block's singular value
-    diameter = values[-1] - values[0]
-    for group in matcore._cluster_indices(values, matcore.CLUSTER_TOL * diameter):
-        if len(group) == 1:
-            sv = row_norms[group]
+    labels = matcore._cluster_labels(values)[0]
+    starts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [n2]):  # cluster a:b
+        if b - a == 1:
+            sv = row_norms[a:b]
         else:
-            sv = np.linalg.svd(coords[group], compute_uv=False)
+            sv = np.linalg.svd(coords[a:b], compute_uv=False)
         rank += int(np.sum(sv > tol))
-        margin = min(margin, sv[len(group) - 1] if sv.size >= len(group) else 0.0)
+        margin = min(margin, sv[b - a - 1] if sv.size >= b - a else 0.0)
     return SpanReport(rank=rank, required=n2, margin=float(margin))
 
 

@@ -11,7 +11,8 @@ Four subcommands::
 Exit codes are part of the contract: 0 success/optimal/admissible,
 2 valid-but-degenerate or inadmissible, 3 conditioning failure, 1 for any
 input or usage error.  JSON reports carry a ``schema_version`` field ("3"
-for ``check-observable``, "2" for the others); complex
+for ``check-observable``, "2" for the others) and are strict JSON: a
+non-finite number is the string "inf", "-inf" or "nan".  Complex
 matrices serialize as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
 with ROW-MAJOR data order (serialization order is deliberately independent
 of the column-major vec convention used internally).  Measurement CSVs use
@@ -30,9 +31,9 @@ grow with the grid.  ``--workers N`` spreads the chunks over N processes
 with ``Pool.imap``, which keeps their order.  ``analyze`` reads its
 spectral block off the same kernel, so a scan row equals ``analyze`` at the
 same point bit for bit, and the CSV is byte-identical whatever the chunk
-size or worker count.  Discriminants agree with the general
-:func:`~strobetomo.analysis.spectral_report` route to about 1e-12 relative;
-one that overflows reads ``inf``.
+size or worker count.  ``reconstruct`` reads eta off each stage's
+``eigh``, so no subcommand takes the general ``spectral_report`` route;
+discriminants agree with it to about 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ def matrix_from_json(obj) -> np.ndarray:
     return matcore.as_matrix(m)
 
 
-def _complex_to_json(z: complex) -> list[float]:
+def _complex_to_json(z: complex) -> list:
+    """[re, im], a non-finite part as the scan CSV's "inf", "-inf" or "nan"."""
     z = complex(z)
-    return [float(z.real), float(z.imag)]
+    return [x if np.isfinite(x) else repr(x) for x in (z.real, z.imag)]
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -181,7 +183,8 @@ def cmd_analyze(args) -> int:
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
 
-    report = analysis._family_report(channels._family_generator(params), args.tol)
+    values = np.linalg.eigvalsh(channels._family_generator(params)[None])
+    report = analysis._family_report(values, args.tol)
     opt = analysis._optimality(report)
 
     payload = {
@@ -417,7 +420,8 @@ def _scan_chunk(job) -> str:
     worker."""
     points, gamma, tol = job
     coeffs, _, cptp, distinct = channels._family_domain(points)
-    spectra = analysis._family_spectra(channels._family_generators(coeffs[cptp], gamma), tol)
+    values = np.linalg.eigvalsh(channels._family_generators(coeffs[cptp], gamma))
+    spectra = analysis._family_spectra(values, tol)
     cells = zip(spectra.eta.tolist(), spectra.mu.tolist(), spectra.discriminant.tolist())
     flag = ("false", "true")
     lines = []

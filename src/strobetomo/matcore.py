@@ -14,20 +14,21 @@ Conventions fixed once and for all:
 * Numerical rank uses a *relative* singular-value cutoff, default
   ``1e-9``; every function in the package taking a ``tol`` argument reads
   ``None`` as that default.
-* Eigenvalues are reported sorted by (real, imaginary) part, and values
-  within ``1e-8`` of each other relative to the larger of the spectral
-  diameter and the spectral norm are clustered before multiplicities and
-  indices are computed: numerical eigensolvers never return exactly equal
-  values for a degenerate pair.
+* Eigenvalues are reported sorted by (real, imaginary) part, and
+  neighbours within ``1e-8`` of each other relative to the larger of the
+  spectral diameter and the spectral norm chain into clusters before
+  multiplicities and indices are computed: numerical eigensolvers never
+  return exactly equal values for a degenerate pair.
 
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
 
-Admissibility and evolution take a Hermitian generator (both family
-generators are real symmetric): :func:`eigh` decomposes it once and
-:func:`propagate` applies ``exp(m t)`` through that decomposition.  The
-general :func:`eig` serves the spectral reports, which also accept
-non-normal inputs.  The module uses numpy alone.
+A Hermitian generator (both family generators are real symmetric) takes
+:func:`eigh` once: its eigenvalues settle eta and mu, and
+:func:`propagate` applies ``exp(m t)`` through its eigenvectors.  Every
+other input takes the general :func:`eig`, which also accepts non-normal
+matrices.  Both routes cluster eigenvalues by the one rule
+``_cluster_labels``.  The module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -157,15 +158,24 @@ class Spectrum:
         return np.array([c[0] for c in self.clusters])
 
 
-def _cluster_indices(values: np.ndarray, tol_abs: float) -> list[list[int]]:
-    """Group sorted eigenvalue indices into chains closer than ``tol_abs``."""
-    groups: list[list[int]] = []
-    for i in range(values.size):
-        if groups and abs(values[i] - values[groups[-1][-1]]) <= tol_abs:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def _cluster_labels(values: np.ndarray, norm=None) -> tuple[np.ndarray, np.ndarray]:
+    """The one clustering rule: labels, from 0, of eigenvalues sorted along
+    the last axis, and the absolute tolerance per leading index.
+
+    Neighbours closer than ``CLUSTER_TOL`` x max(spectral diameter, ``norm``)
+    chain into one cluster; ``norm`` is ||m||_2.  Without it the values are
+    the ascending spectrum of a Hermitian m: diameter and norm sit at the ends.
+    """
+    if norm is None:
+        diameter = values[..., -1] - values[..., 0]
+        norm = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
+    else:
+        diameter = np.max(np.abs(values[..., :, None] - values[..., None, :]), axis=(-2, -1))
+    tol_abs = CLUSTER_TOL * np.maximum(diameter, norm)
+    labels = np.zeros(values.shape, dtype=int)
+    gaps = np.abs(np.diff(values, axis=-1))
+    np.cumsum(gaps > tol_abs[..., None], axis=-1, out=labels[..., 1:])
+    return labels, tol_abs
 
 
 def _nullity(m: np.ndarray, tol: float, tol_abs: float) -> int:
@@ -180,8 +190,8 @@ def _nullity(m: np.ndarray, tol: float, tol_abs: float) -> int:
 def eig(m, tol: float | None = None) -> Spectrum:
     """Full spectrum with clustered multiplicities and indices.
 
-    Eigenvalues are sorted by (real, imaginary) part.  Values within
-    ``CLUSTER_TOL`` x max(spectral diameter, ||m||_2) are treated as one
+    Eigenvalues are sorted by (real, imaginary) part.  Neighbours within
+    ``CLUSTER_TOL`` x max(spectral diameter, ||m||_2) chain into one
     degenerate cluster of algebraic multiplicity ``a``.  The norm floor
     stops a spectrum that is one perturbed defective eigenvalue from being
     clustered at the scale of its own spread; that spread, about
@@ -202,21 +212,16 @@ def eig(m, tol: float | None = None) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-
-    diameter = float(np.max(np.abs(values[:, None] - values[None, :]))) if values.size > 1 else 0.0
-    # ||m||_2 is max |lambda| for a Hermitian m, which saves an SVD.
-    hermitian = np.array_equal(m, m.conj().T)
-    norm = np.max(np.abs(values)) if hermitian else np.linalg.norm(m, 2)
-    tol_abs = CLUSTER_TOL * max(diameter, float(norm))
+    values = values[np.lexsort((values.imag, values.real))]
     dim = m.shape[0]
+    labels, tol_abs = _cluster_labels(values, np.linalg.norm(m, 2))
 
     clusters: list[tuple[complex, int, int]] = []
     mu = 0
-    for group in _cluster_indices(values, tol_abs):
-        rep = complex(np.mean(values[group]))
-        alg = len(group)
+    starts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist()
+    for a, b in zip(starts, starts[1:] + [dim]):  # cluster a:b
+        rep = complex(np.mean(values[a:b]))
+        alg = b - a
         shifted = m - rep * np.eye(dim)
         geo = max(1, min(_nullity(shifted, tol, tol_abs), alg))
         index, nullity, power = 1, geo, shifted

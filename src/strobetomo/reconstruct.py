@@ -15,9 +15,10 @@ F[:, 1:].  It can be invertible only when Q passes the Krylov span check;
 its condition number measures the measurement design (observable and
 instants) and is gated at 1e8.
 
-Evolution and planning take a Hermitian, trace-preserving generator, as
-both family generators are: one ``matcore.eigh`` of it gives exp(L t) at
-every instant at once, and the forward rows mode by mode.
+Time grids, evolution and planning take a Hermitian, trace-preserving
+generator, as both family generators are: one ``matcore.eigh`` of it gives
+eta (through ``analysis._family_spectra``), exp(L t) at every instant at
+once, and the forward rows mode by mode.  Each stage runs its own ``eigh``.
 
 Measurement simulation follows the Born rule on Q's eigenbasis with a
 multinomial shot model; per-instant substreams are spawned from one seed,
@@ -99,12 +100,11 @@ def default_time_grid(gen, p: int, tol: float | None = None) -> TimeGrid:
     """
     if p < 1:
         raise ValueError(f"grid needs at least one instant, got p = {p}")
-    report = analysis.spectral_report(gen, tol=tol)
-    if report.eta != 1:
-        raise ValueError(
-            f"default grid requires an optimal generator (eta = 1), got eta = {report.eta}"
-        )
-    lam_max = float(np.max(np.abs(report.spectrum.eigenvalues)))
+    values = matcore.eigh(gen)[0]
+    eta = analysis._family_spectra(values[None], tol).eta[0]
+    if eta != 1:
+        raise ValueError(f"default grid requires an optimal generator (eta = 1), got eta = {eta}")
+    lam_max = float(np.max(np.abs(values)))
     if lam_max <= 0:
         raise ValueError("zero spectrum: no decay scale to set a horizon")
     horizon = 1.0 / lam_max
@@ -282,17 +282,17 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
         raise ValueError(f"generator shape {gen.shape} does not match observable dim {n}")
     if np.max(np.abs(vec(np.eye(n)) @ gen)) > 1e-12 * np.max(np.abs(gen)):
         raise ValueError("generator must be trace-preserving (vec(I)^dagger L = 0)")
-    report = analysis.spectral_report(gen, tol=tol)
-    if report.eta != 1:
+    eigensystem = matcore.eigh(gen)
+    eta = analysis._family_spectra(eigensystem[0][None], tol).eta[0]
+    if eta != 1:
         raise ValueError(
-            f"reconstruction from a single observable requires eta = 1, got eta = {report.eta}"
+            f"reconstruction from a single observable requires eta = 1, got eta = {eta}"
         )
     if grid.p != n2 - 1:
         raise ValueError(
             f"single-observable reconstruction needs p = n^2 - 1 = {n2 - 1} instants, "
             f"got {grid.p}"
         )
-    eigensystem = matcore.eigh(gen)
     if not analysis._span_report(eigensystem, [obs.matrix], tol).satisfied:
         raise ValueError("observable fails the Krylov span check (inadmissible)")
 
@@ -326,7 +326,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
         reduced_matrix=reduced,
         forward_matrix=forward,
         condition_reduced=cond_reduced,
-        tolerance=report.tolerance,
+        tolerance=matcore._rank_tol(tol),
     )
 
 

@@ -28,6 +28,7 @@ from strobetomo.channels import (
     validate_three_level,
 )
 from strobetomo.matcore import vec
+from strobetomo.reconstruct import default_time_grid
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
 GEN_3 = generator_three_level(ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.06, gamma=1.0))
@@ -150,6 +151,14 @@ class TestSpectralReport:
         assert report.eta == 1
         assert report.mu == 9
 
+    def test_overflowing_discriminant_reads_inf(self):
+        """A real spectrum's discriminant is a real product, so overflow
+        reads inf with imaginary part 0, not nan."""
+        with np.errstate(all="raise"):
+            report = spectral_report(generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, 1e200)))
+        assert (report.eta, report.mu) == (1, 4)
+        assert report.discriminant.real == np.inf and report.discriminant.imag == 0
+
     def test_eta_counts_geometric_multiplicity(self):
         # L = 0 fixes every state: eta = n^2
         report = spectral_report(np.zeros((4, 4)))
@@ -200,10 +209,15 @@ class TestSpectralReport:
         assert (report.eta, report.mu) == (eta, distinct)
 
 
+def family_report(gen, tol):
+    """The kernel's report of one generator, fed its ``eigvalsh``."""
+    return _family_report(np.linalg.eigvalsh(np.asarray(gen)[None]), tol)
+
+
 def assert_matches_general_route(gen, tol):
     """The kernel's report equals spectral_report's: same clusters, eta and
     mu, discriminants within 1e-12 relative (zero together)."""
-    fast = _family_report(gen, tol)
+    fast = family_report(gen, tol)
     slow = spectral_report(gen, tol)
     assert (fast.eta, fast.mu, fast.tolerance) == (slow.eta, slow.mu, slow.tolerance)
     assert [c[1:] for c in fast.spectrum.clusters] == [c[1:] for c in slow.spectrum.clusters]
@@ -235,11 +249,28 @@ class TestFamilySpectra:
     @given(points=st.lists(lattice_three_level(), min_size=1, max_size=9), gamma=gammas)
     def test_rows_do_not_depend_on_the_stack(self, points, gamma):
         coeffs = [ThreeLevelParams(*a).coefficients for a in points]
-        stack = _family_spectra(_family_generators(coeffs, gamma), None)
+        stack = _family_spectra(np.linalg.eigvalsh(_family_generators(coeffs, gamma)), None)
         for i, c in enumerate(coeffs):
-            one = _family_spectra(_family_generators([c], gamma), None)
+            one = _family_spectra(np.linalg.eigvalsh(_family_generators([c], gamma)), None)
             for field in stack._fields[:-1]:
                 np.testing.assert_array_equal(getattr(stack, field)[i], getattr(one, field)[0])
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(a=st.one_of(lattice_two_level(), lattice_three_level()), gamma=gammas)
+    def test_default_grid_refuses_exactly_where_eta_exceeds_1(self, a, gamma):
+        """The campaign reads eta off its own eigh; it refuses a default grid
+        exactly where the general route finds eta > 1."""
+        if len(a) == 3:
+            gen = generator_two_level(TwoLevelParams(*a, gamma=gamma))
+        else:
+            p = ThreeLevelParams(*a, gamma=gamma)
+            assume(validate_three_level(p).cptp_domain)
+            gen = generator_three_level(p)
+        if spectral_report(gen).eta > 1:
+            with pytest.raises(ValueError, match="eta"):
+                default_time_grid(gen, 3)
+        else:
+            default_time_grid(gen, 3)
 
     def test_cluster_tolerance_floors_the_rank_cut(self):
         """At a tiny rank tolerance the rounding spread of a tied pair (1e-16
@@ -248,17 +279,17 @@ class TestFamilySpectra:
         gen = generator_three_level(ThreeLevelParams(0.1, 0.1, 0.2, 0.05, 0.08, 0.06))
         for tol in (1e-300, 1e-9):
             assert_matches_general_route(gen, tol)
-            assert _family_report(gen, tol).eta == 2
+            assert family_report(gen, tol).eta == 2
 
     def test_overflowing_discriminant_reads_inf(self):
         with np.errstate(all="raise"):
-            huge = _family_report(generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, 1e200)), None)
-        unit = _family_report(GEN_2, None)
+            huge = family_report(generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, 1e200)), None)
+        unit = family_report(GEN_2, None)
         assert (huge.eta, huge.mu) == (unit.eta, unit.mu) == (1, 4)
         assert huge.discriminant == np.inf
 
     def test_empty_stack(self):
-        s = _family_spectra(np.zeros((0, 4, 4)), None)
+        s = _family_spectra(np.zeros((0, 4)), None)
         assert s.eta.shape == s.mu.shape == s.discriminant.shape == (0,)
 
 

@@ -110,6 +110,19 @@ class TestAnalyze:
         code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
         assert payload["spectral"]["tolerance"] == matcore.DEFAULT_RANK_TOL
 
+    def test_json_is_strict(self, capsys):
+        """A non-finite number is written as a string, not as the bare
+        ``Infinity`` or ``NaN`` tokens strict JSON parsers reject."""
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert main(["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3",
+                     "--gamma", "1e200"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["spectral"]["discriminant"] == ["inf", 0.0]
+        assert cli._complex_to_json(complex(-np.inf, np.nan)) == ["-inf", "nan"]
+
     def test_decomposes_once(self, capsys, monkeypatch):
         """The spectral and optimality blocks come from one eigendecomposition:
         the one batched ``eigvalsh`` of the scan kernel, and no other."""
@@ -457,7 +470,8 @@ class TestScan:
 
     def test_overflowing_discriminant_reads_inf(self, capsys):
         """At gamma 1e200 the discriminant overflows to inf in both scan and
-        analyze; eta and mu are those of gamma 1."""
+        analyze (where JSON carries it as the string "inf"); eta and mu are
+        those of gamma 1."""
         point = ["--a1", "0.1", "--a2", "0.2", "--a3", "0.3"]
         rows = {}
         for gamma in ("1.0", "1e200"):
@@ -472,7 +486,7 @@ class TestScan:
         assert code == 0
         spectral = payload["spectral"]
         assert (spectral["eta"], spectral["mu"]) == (1, 4)
-        assert spectral["discriminant"] == [float("inf"), 0.0]
+        assert spectral["discriminant"] == ["inf", 0.0]
 
 
 def _scan_bytes(argv, tmp_path, monkeypatch, chunk, workers):

@@ -162,6 +162,37 @@ class TestEigh:
             eigh(np.eye(2))
 
 
+class TestClusterLabels:
+    """The one clustering rule, on its Hermitian (ascending real) path and
+    on its general path."""
+
+    def test_hermitian_path_clusters_like_eig(self):
+        """A tight Hermitian spectrum far from zero is one cluster at the
+        norm's scale, as ``eig`` finds it; its diameter alone would split it."""
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            base = rng.choice([-2.0, -1.0, 0.5, 3.0], size=6)
+            values = np.sort(base + rng.uniform(-3e-9, 3e-9, size=6) * np.abs(base))
+            labels = matcore._cluster_labels(values)[0]
+            general = matcore._cluster_labels(values, np.max(np.abs(values)))[0]
+            np.testing.assert_array_equal(labels, general)
+            assert [c[1] for c in eig(np.diag(values)).clusters] == np.bincount(labels).tolist()
+        tight = np.array([-1.0 - 1e-9, -1.0, -1.0 + 1e-9])
+        assert matcore._cluster_labels(tight)[0].tolist() == [0, 0, 0]
+        assert [c[1] for c in eig(np.diag(tight)).clusters] == [3]
+        wide = np.array([-1.0, -1.0 + 1.5e-8, 1.0])  # the diameter 2 sets the scale
+        assert matcore._cluster_labels(wide)[0].tolist() == [0, 0, 1]
+        assert [c[1] for c in eig(np.diag(wide)).clusters] == [2, 1]
+
+    def test_stacks_label_row_by_row(self):
+        rows = np.array([[-1.0, -1.0 + 1e-12, 0.0], [-1.0, -0.5, 0.0]])
+        labels, tol_abs = matcore._cluster_labels(rows)
+        assert labels.tolist() == [[0, 0, 1], [0, 1, 2]]
+        for row, label, t in zip(rows, labels, tol_abs):
+            one = matcore._cluster_labels(row)
+            assert one[0].tolist() == label.tolist() and one[1] == t
+
+
 class TestExpmApply:
     """The action of the matrix exponential, exp(m t) v, through ``propagate``
     on one ``eigh`` of a Hermitian m."""

@@ -37,19 +37,20 @@ Q_2 = np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])  # (A,B,C,D) = (1,0,1,1)
 # Qubit points (gamma = 1) whose default horizon T is not recovered as
 # 3 * T / 3: that quotient rounds one ulp above T.  Whether it does hangs
 # on the last bits of the generator's eigenvalues; these six came from a
-# seeded search (Dirichlet draws, seed 2026) under the dissipator-stack
-# generators.
+# seeded search (Dirichlet draws, seed 2026) with T read off the
+# generator's ``eigh``.
 ROUNDING_HORIZON_POINTS = (
+    (0.03460905084839486, 0.04059313468718489, 0.09683929086441696),
     (0.31060205142567426, 0.20913680513889477, 0.06492444278046527),
-    (0.3234949257999031, 0.21091392236528683, 0.3028001204628041),
-    (0.01701812989457538, 0.051065830535631, 0.20854911807518017),
-    (0.28130787549150865, 0.3384725022812794, 0.31228439443137684),
-    (0.4073044140030302, 0.27814581088663043, 0.2511533164626372),
-    (0.16476133346437385, 0.3090292560996067, 0.3421320375847499),
+    (0.2298335969388818, 0.38161968652821787, 0.048773102013226946),
+    (0.06649972585630806, 0.15693843831529686, 0.14944227215372985),
+    (0.24925143488657786, 0.17906223206994207, 0.4212268045279457),
+    (0.21964527545217621, 0.07517711116443775, 0.134817726853706),
 )
 
-# The rounding-horizon points of the closed-form (np.kron) generators, kept
-# as plain exact round trips.
+# Former rounding-horizon points, kept as plain exact round trips: those of
+# the closed-form (np.kron) generators, then those of T read off the general
+# ``eigvals`` route under the dissipator-stack generators.
 FORMER_ROUNDING_HORIZON_POINTS = (
     (0.5060275912134737, 0.016167606158652006, 0.2384854486110743),
     (0.0636249281711857, 0.591446624969274, 0.029604748639981415),
@@ -57,7 +58,27 @@ FORMER_ROUNDING_HORIZON_POINTS = (
     (0.34125455555265904, 0.2865397630115275, 0.3582240286856516),
     (0.20890881529165306, 0.39106540738776796, 0.15221730384825927),
     (0.22958226079448907, 0.0469814706536863, 0.494171590920257),
+    (0.3234949257999031, 0.21091392236528683, 0.3028001204628041),
+    (0.01701812989457538, 0.051065830535631, 0.20854911807518017),
+    (0.28130787549150865, 0.3384725022812794, 0.31228439443137684),
+    (0.4073044140030302, 0.27814581088663043, 0.2511533164626372),
+    (0.16476133346437385, 0.3090292560996067, 0.3421320375847499),
 )
+
+
+def count_decompositions(monkeypatch):
+    """Record, in order, every numpy.linalg eigendecomposition made from
+    now on."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def random_density(rng, n):
@@ -124,6 +145,14 @@ class TestTimeGrid:
             grid = default_time_grid(gen, 3)
             assert grid.instants[-1] == grid.horizon
             assert_exact_round_trip(gen, grid, i, rng)
+
+    def test_default_grid_decomposes_once(self, monkeypatch):
+        """eta and the horizon come from one Hermitian eigendecomposition."""
+        calls = count_decompositions(monkeypatch)
+        for gen, p in ((GEN_2, 3), (GEN_3_CLUSTERED, 8)):
+            calls.clear()
+            default_time_grid(gen, p)
+            assert calls == ["eigh"]
 
     def test_default_grid_rejects_degenerate_generator(self):
         gen = generator_two_level(TwoLevelParams(0.2, 0.2, 0.3, gamma=1.0))
@@ -193,6 +222,13 @@ class TestPlan:
         assert p.condition_reduced < 1e8
         assert p.forward_matrix.shape == (3, 4)
         np.testing.assert_array_equal(p.reduced_matrix, p.forward_matrix[:, 1:])
+
+    def test_decomposes_once(self, monkeypatch):
+        """eta, admissibility and the forward rows come from one ``eigh``."""
+        grid = default_time_grid(GEN_2, 3)
+        calls = count_decompositions(monkeypatch)
+        plan(GEN_2, Q_2, grid)
+        assert calls == ["eigh"]
 
     def test_trace_column_is_unital(self):
         """The dual evolution is unital, so every row's I/sqrt(n) coordinate
