@@ -19,9 +19,10 @@ Three equivalent certificates are wired together here and cross-reported:
 There is one spectral route per kind of input.  Family generators are real
 symmetric, so ``_family_spectra`` reads their indices off their eigenvalues
 alone (the general rules specialised to a Hermitian matrix, per row as
-arrays): ``scan`` and ``analyze`` feed it one batched ``eigvalsh``, the
-default time grid and the plan the values of their ``matcore.eigh``, and
-``analyze`` equals every scan row bit for bit.  :func:`spectral_report` and
+arrays): ``scan`` and ``analyze`` feed it closed-form eigenvalues
+(``channels._family_eigenvalues``, no eigensolver), the default time grid
+and the plan the values of their ``matcore.eigh``, and ``analyze`` equals
+every scan row bit for bit.  :func:`spectral_report` and
 :func:`optimality_report` take the general route (:func:`matcore.eig`:
 complex eigenvalues plus one SVD per cluster) for any square generator,
 Jordan blocks included; on family generators they agree with the kernel on
@@ -222,8 +223,8 @@ class _FamilySpectra(NamedTuple):
 
 def _family_spectra(values, tol: float | None) -> _FamilySpectra:
     """Clustered spectra of k Hermitian (family) generators, from their
-    ascending eigenvalues ``values`` of shape (k, N), as ``eigvalsh`` or
-    :func:`~strobetomo.matcore.eigh` give them.
+    ascending eigenvalues ``values`` of shape (k, N), from the closed form
+    or from :func:`~strobetomo.matcore.eigh`.
 
     The rules are :func:`~strobetomo.matcore.eig`'s, specialised to a
     Hermitian matrix, where ||L||_2 = max |lambda|, the singular values of

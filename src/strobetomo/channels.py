@@ -18,10 +18,12 @@ real.  A whole array of parameter points is validated by one array rule
 into a real (k, n^2, n^2) generator stack by one fixed-order sum over the
 dissipators (``_family_generators``); a single point is the k = 1 row, bit
 for bit.  Both generators are *real symmetric* matrices in vectorized
-form, hence diagonalizable with a real spectrum, and both spectra are
-available in closed form.  The closed forms are exposed separately so that
-numerical eigendecompositions can be cross-checked against exact
-arithmetic.
+form, diagonal in the fixed Hermitian basis ``matcore._hermitian_basis``:
+L(a) = U^dagger diag(gamma M a) U, with M (4 x 3 or 9 x 8) read off the
+dissipators' diagonals at import.  ``_family_eigenvalues`` gives a whole
+stack's sorted eigenvalues from it, with no generator and no eigensolver,
+for ``scan`` and ``analyze``.  The paper's spectrum displays
+(``closed_form_spectrum_*``) cross-check both routes.
 
 Operator bases are normalized to ``Tr(B_i B_j) = 2 delta_ij`` (standard
 Pauli/Gell-Mann convention).  The dependent-coefficient identities above
@@ -401,6 +403,19 @@ _PAULI_DISSIPATORS = np.array([_dissipator(s) for s in _PAULI]).real
 _GELLMANN_DISSIPATORS = np.array([_dissipator(g) for g in _GELLMANN]).real
 
 
+def _rate_matrix(stack: np.ndarray, n: int) -> np.ndarray:
+    """M[u, k] = <U_u, D(B_k)[U_u]> over U = ``matcore._hermitian_basis(n)``,
+    rounded to the nearest half: its entries are 0, -1/2, -3/2 and -2."""
+    rows = matcore._hermitian_basis(n).transpose(0, 2, 1).reshape(n * n, n * n)  # vec(U_u)
+    diagonal = np.einsum("ua,kab,ub->uk", rows.conj(), stack, rows).real
+    return np.round(2.0 * diagonal) / 2.0
+
+
+#: The (4, 3) and (9, 8) rate matrices of the qubit and qutrit families.
+_PAULI_RATES = _rate_matrix(_PAULI_DISSIPATORS, 2)
+_GELLMANN_RATES = _rate_matrix(_GELLMANN_DISSIPATORS, 3)
+
+
 def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     """Vectorized GKSL generator for arbitrary (H, {V_i}, {gamma_i})."""
     n = spec.dim
@@ -426,6 +441,19 @@ def _family_generators(coeffs, gamma: float) -> np.ndarray:
     for j in range(1, len(stack)):
         gens += rates[:, j] * stack[j]
     return gens
+
+
+def _family_eigenvalues(coeffs, gamma: float) -> np.ndarray:
+    """Ascending (k, n^2) eigenvalues of :func:`_family_generators`, read off
+    the closed form gamma M a.  M's columns are added elementwise in a fixed
+    order, not by a matrix product, so a row's bits do not depend on k."""
+    rates = gamma * np.asarray(coeffs, dtype=float)
+    m = _PAULI_RATES if rates.shape[1] == 3 else _GELLMANN_RATES
+    values = rates[:, 0, None] * m[:, 0]
+    for j in range(1, m.shape[1]):
+        values += rates[:, j, None] * m[:, j]
+    values.sort(axis=1)
+    return values
 
 
 def _family_generator(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:

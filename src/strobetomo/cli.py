@@ -24,24 +24,27 @@ every spectral, span and planning call the subcommand makes.  ``--gamma``
 must be finite and positive too; both are checked before any work.
 
 ``scan`` draws its grid points lazily, in lexicographic order, in chunks
-of ``SCAN_CHUNK`` (4,096) points.  Each chunk is validated, built into a
-generator stack, decomposed by one batched ``eigvalsh`` and formatted as
+of ``SCAN_CHUNK`` (4,096) points.  Each chunk is validated, given its
+closed-form eigenvalues (no generator, no eigensolver) and formatted as
 arrays, and its rows are written as soon as it is done, so memory does not
 grow with the grid.  ``--workers N`` spreads the chunks over N processes
 with ``Pool.imap``, which keeps their order.  ``analyze`` reads its
-spectral block off the same kernel, so a scan row equals ``analyze`` at the
-same point bit for bit, and the CSV is byte-identical whatever the chunk
-size or worker count.  ``reconstruct`` reads eta off each stage's
-``eigh``, so no subcommand takes the general ``spectral_report`` route;
-discriminants agree with it to about 1e-12 relative.
+spectral block off the same closed form and kernel, so a scan row equals
+``analyze`` at the same point bit for bit, and the CSV is byte-identical
+whatever the chunk size or worker count.  ``reconstruct`` reads eta off
+each stage's ``eigh``, so no subcommand takes the general
+``spectral_report`` route; discriminants agree with it to about 1e-12
+relative.  In-process :func:`main` calls share one argument parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -109,7 +112,7 @@ def matrix_from_json(obj) -> np.ndarray:
 def _complex_to_json(z: complex) -> list:
     """[re, im], a non-finite part as the scan CSV's "inf", "-inf" or "nan"."""
     z = complex(z)
-    return [x if np.isfinite(x) else repr(x) for x in (z.real, z.imag)]
+    return [x if math.isfinite(x) else repr(x) for x in (z.real, z.imag)]
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -183,7 +186,7 @@ def cmd_analyze(args) -> int:
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
 
-    values = np.linalg.eigvalsh(channels._family_generator(params)[None])
+    values = channels._family_eigenvalues([params.coefficients], params.gamma)
     report = analysis._family_report(values, args.tol)
     opt = analysis._optimality(report)
 
@@ -398,16 +401,16 @@ def _parse_range(raw: str) -> tuple[float, float, int]:
         if len(parts) != 3:
             raise ValueError(f"range syntax is lo:hi:step, got {raw!r}")
         lo, hi, step = (float(x) for x in parts)
-    if not np.isfinite([lo, hi, step]).all():
+    if not all(map(math.isfinite, (lo, hi, step))):
         raise ValueError(f"range bounds and step must be finite, got {raw!r}")
     if step <= 0:
         raise ValueError(f"range step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"range upper bound {hi} below lower bound {lo}")
-    span = np.floor((hi - lo) / step + 1e-9)
-    if not np.isfinite(span):
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
         raise ValueError(f"range {raw!r} holds too many points")
-    return lo, step, int(span) + 1
+    return lo, step, math.floor(span) + 1
 
 
 def _axis(lo: float, step: float, count: int) -> list[float]:
@@ -415,12 +418,12 @@ def _axis(lo: float, step: float, count: int) -> list[float]:
 
 
 def _scan_chunk(job) -> str:
-    """CSV rows of one chunk of grid points, validated, built, decomposed
-    and formatted as arrays; returns text so formatting is fixed at the
-    worker."""
+    """CSV rows of one chunk of grid points, validated, given their
+    closed-form eigenvalues and formatted as arrays; returns text so
+    formatting is fixed at the worker."""
     points, gamma, tol = job
     coeffs, _, cptp, distinct = channels._family_domain(points)
-    values = np.linalg.eigvalsh(channels._family_generators(coeffs[cptp], gamma))
+    values = channels._family_eigenvalues(coeffs[cptp], gamma)
     spectra = analysis._family_spectra(values, tol)
     cells = zip(spectra.eta.tolist(), spectra.mu.tolist(), spectra.discriminant.tolist())
     flag = ("false", "true")
@@ -513,7 +516,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first :func:`main` call.  It
+    holds no ``cmd_*`` function: :func:`main` looks them up at each call."""
     parser = _Parser(
         prog="strobetomo",
         description="Stroboscopic tomography toolkit: generator diagnostics, "
@@ -530,13 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = subs.add_parser("analyze", help="spectral and optimality report")
     _add_model_arguments(p_analyze)
     p_analyze.add_argument("--output", help="write the JSON report here instead of stdout")
-    p_analyze.set_defaults(func=cmd_analyze)
 
     p_check = subs.add_parser("check-observable", help="observable admissibility check")
     _add_model_arguments(p_check)
     p_check.add_argument("--observable", required=True, help="observable matrix JSON file")
     p_check.add_argument("--output", help="write the JSON report here instead of stdout")
-    p_check.set_defaults(func=cmd_check_observable)
 
     p_rec = subs.add_parser("reconstruct", help="run or invert a measurement campaign")
     _add_model_arguments(p_rec)
@@ -566,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include the eigenvalue-clipped PSD variant in the report",
     )
     p_rec.add_argument("--output", help="write the JSON result here instead of stdout")
-    p_rec.set_defaults(func=cmd_reconstruct)
 
     p_scan = subs.add_parser("scan", help="sweep parameter grids to CSV")
     p_scan.add_argument("--model", required=True, choices=["two-level", "three-level"])
@@ -577,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="parallel workers, 1 to the CPU count (default 1)"
     )
     p_scan.add_argument("--output", help="write CSV here instead of stdout")
-    p_scan.set_defaults(func=cmd_scan)
 
     return parser
 
@@ -587,12 +589,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
         return _fail(str(exc))
-    if not (np.isfinite(args.tol) and args.tol > 0):
+    if not (math.isfinite(args.tol) and args.tol > 0):
         return _fail(f"--tol must be finite and positive, got {args.tol}")
-    if not (np.isfinite(args.gamma) and args.gamma > 0):
+    if not (math.isfinite(args.gamma) and args.gamma > 0):
         return _fail(f"--gamma must be finite and positive, got {args.gamma}")
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except BrokenPipeError:
         return EXIT_INPUT
 

@@ -2,9 +2,9 @@
 
 Everything in this package runs through a handful of primitives collected
 here: column-major vectorization, Hilbert-Schmidt inner products, the
-general spectral decomposition with degeneracy clustering, and the
-Hermitian eigendecomposition with the matrix-exponential action read off
-it.
+fixed orthonormal Hermitian basis, the general spectral decomposition with
+degeneracy clustering, and the Hermitian eigendecomposition with the
+matrix-exponential action read off it.
 
 Conventions fixed once and for all:
 
@@ -25,7 +25,9 @@ module works on anything array-like but always returns ndarrays.
 
 A Hermitian generator (both family generators are real symmetric) takes
 :func:`eigh` once: its eigenvalues settle eta and mu, and
-:func:`propagate` applies ``exp(m t)`` through its eigenvectors.  Every
+:func:`propagate` applies ``exp(m t)`` through its eigenvectors.  Family
+generators are diagonal in ``_hermitian_basis``, so :mod:`.channels` reads
+their eigenvalues off it in closed form, with no solver.  Every
 other input takes the general :func:`eig`, which also accepts non-normal
 matrices.  Both routes cluster eigenvalues by the one rule
 ``_cluster_labels``.  The module uses numpy alone.
@@ -33,6 +35,7 @@ matrices.  Both routes cluster eigenvalues by the one rule
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +130,32 @@ def hs_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))  # vdot conjugates its first argument
+
+
+@functools.cache
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Real-orthonormal basis of Hermitian n x n matrices under <A,B> =
+    Tr(A B), stacked along axis 0: I/sqrt(n), symmetric and antisymmetric
+    off-diagonal pairs, then traceless diagonal matrices.  Built once per
+    n and read-only."""
+    ops = [np.eye(n, dtype=complex) / np.sqrt(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = e[j, i] = 1.0
+            ops.append(e / np.sqrt(2.0))
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = -1j
+            e[j, i] = 1j
+            ops.append(e / np.sqrt(2.0))
+    for k in range(1, n):
+        d = np.zeros(n)
+        d[:k] = 1.0
+        d[k] = -float(k)
+        ops.append(np.diag(d).astype(complex) / np.linalg.norm(d))
+    ops = np.array(ops)
+    ops.flags.writeable = False
+    return ops
 
 
 @dataclass(frozen=True)

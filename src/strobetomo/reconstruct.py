@@ -28,7 +28,6 @@ so records are reproducible regardless of evaluation order.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 from dataclasses import dataclass
 
@@ -212,32 +211,6 @@ def simulate_records(gen, q, rho0, grid: TimeGrid, shots, seed=None) -> list[Mea
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _hermitian_basis(n: int) -> np.ndarray:
-    """Real-orthonormal basis of Hermitian n x n matrices under <A,B> =
-    Tr(A B), stacked along axis 0: I/sqrt(n), symmetric and antisymmetric
-    off-diagonal pairs, then traceless diagonal matrices.  Built once per
-    n and read-only."""
-    ops = [np.eye(n, dtype=complex) / np.sqrt(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            ops.append(e / np.sqrt(2.0))
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = -1j
-            e[j, i] = 1j
-            ops.append(e / np.sqrt(2.0))
-    for k in range(1, n):
-        d = np.zeros(n)
-        d[:k] = 1.0
-        d[k] = -float(k)
-        ops.append(np.diag(d).astype(complex) / np.linalg.norm(d))
-    ops = np.array(ops)
-    ops.flags.writeable = False
-    return ops
-
-
 @dataclass(frozen=True)
 class ReconstructionPlan:
     """Everything needed to invert a measurement campaign.
@@ -303,7 +276,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     # columns sum only the decaying modes; summing the stationary one too
     # would add its rounding, which swamps late-time rows.
     values, vectors = eigensystem
-    basis = _hermitian_basis(n)
+    basis = matcore._hermitian_basis(n)
     overlaps = basis.transpose(0, 2, 1).reshape(n2, n2).conj() @ vectors  # <B_u, v_k>
     decaying = np.arange(n2) != np.argmin(np.abs(values))
     coords = vectors.conj().T @ vec(obs.matrix)
@@ -377,7 +350,7 @@ def execute(
     # The plan's gate bounds the condition number, so the system is solvable.
     solution = np.linalg.solve(plan_.reduced_matrix, rhs)
     coords = np.concatenate([[h0], solution])
-    raw = np.tensordot(coords, _hermitian_basis(n), axes=1)
+    raw = np.tensordot(coords, matcore._hermitian_basis(n), axes=1)
 
     residual = float(np.linalg.norm(plan_.reduced_matrix @ solution - rhs))
     herm_defect = float(np.max(np.abs(raw - raw.conj().T)))

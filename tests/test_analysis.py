@@ -18,6 +18,11 @@ from strobetomo.channels import (
     LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
+    _GELLMANN_DISSIPATORS,
+    _GELLMANN_RATES,
+    _PAULI_DISSIPATORS,
+    _PAULI_RATES,
+    _family_eigenvalues,
     _family_generators,
     closed_form_spectrum_three_level,
     closed_form_spectrum_two_level,
@@ -27,7 +32,7 @@ from strobetomo.channels import (
     pauli,
     validate_three_level,
 )
-from strobetomo.matcore import vec
+from strobetomo.matcore import _hermitian_basis, vec
 from strobetomo.reconstruct import default_time_grid
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
@@ -291,6 +296,61 @@ class TestFamilySpectra:
     def test_empty_stack(self):
         s = _family_spectra(np.zeros((0, 4)), None)
         assert s.eta.shape == s.mu.shape == s.discriminant.shape == (0,)
+
+
+def family_point(a, gamma):
+    """Parameter record and its paper closed-form spectrum, for a lattice point."""
+    if len(a) == 3:
+        p = TwoLevelParams(*a, gamma=gamma)
+        return p, closed_form_spectrum_two_level(p)
+    p = ThreeLevelParams(*a, gamma=gamma)
+    return p, closed_form_spectrum_three_level(p)
+
+
+class TestFamilyEigenvalues:
+    """The closed form gamma M a that scan and analyze read eigenvalues from."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(a=st.one_of(lattice_two_level(), lattice_three_level()), gamma=gammas)
+    def test_matches_closed_form_and_eigvalsh(self, a, gamma):
+        p, closed = family_point(a, gamma)
+        values = _family_eigenvalues([p.coefficients], gamma)
+        solved = np.linalg.eigvalsh(_family_generators([p.coefficients], gamma))
+        bound = 1e-13 * np.abs(values).max()
+        assert values.shape == solved.shape == (1, closed.size)
+        assert np.all(np.diff(values[0]) >= 0)
+        assert np.abs(values[0] - np.sort(closed)).max() <= bound
+        assert np.abs(values - solved).max() <= bound
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        points=st.one_of(
+            st.lists(st.tuples(*[st.floats(0.0, 0.3)] * 3), min_size=1, max_size=64),
+            st.lists(st.tuples(*[st.floats(0.0, 0.3)] * 6), min_size=1, max_size=64),
+        ),
+        gamma=st.floats(0.5, 2.0),
+    )
+    def test_rows_do_not_depend_on_the_stack(self, points, gamma):
+        """Off the lattice, where rounding depends on the order of the sum."""
+        coeffs = [family_point(a, gamma)[0].coefficients for a in points]
+        stack = _family_eigenvalues(coeffs, gamma)
+        for i, c in enumerate(coeffs):
+            np.testing.assert_array_equal(stack[i], _family_eigenvalues([c], gamma)[0])
+
+    @pytest.mark.parametrize("n,dissipators,rates", [
+        (2, _PAULI_DISSIPATORS, _PAULI_RATES),
+        (3, _GELLMANN_DISSIPATORS, _GELLMANN_RATES),
+    ])
+    def test_rate_matrix_is_half_integral(self, n, dissipators, rates):
+        """M holds the dissipators' diagonals in the Hermitian basis, and
+        2 M is integral with entries 0, -1, -3 and -4."""
+        vecs = [b.reshape(-1, order="F") for b in _hermitian_basis(n)]
+        diagonal = np.array([[np.vdot(v, d @ v) for d in dissipators] for v in vecs])
+        assert rates.shape == (n * n, n * n - 1)
+        np.testing.assert_allclose(rates, diagonal.real, rtol=0, atol=1e-14)
+        assert np.abs(diagonal.imag).max() <= 1e-14
+        np.testing.assert_array_equal(2 * rates, np.round(2 * rates))
+        assert set(np.unique(2 * rates)) <= {0.0, -1.0, -3.0, -4.0}
 
 
 class TestOptimalityReport:

@@ -27,6 +27,21 @@ def run_json(capsys, argv):
     return code, (json.loads(out) if out.strip() else None)
 
 
+def count_decompositions(monkeypatch):
+    """Names of the ``numpy.linalg`` eigendecompositions and SVDs called
+    from now on, in call order."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def assert_one_line_error(capsys, code):
     """Exit 1 with a single ``error:`` line on stderr and nothing on stdout."""
     captured = capsys.readouterr()
@@ -124,20 +139,12 @@ class TestAnalyze:
         assert cli._complex_to_json(complex(-np.inf, np.nan)) == ["-inf", "nan"]
 
     def test_decomposes_once(self, capsys, monkeypatch):
-        """The spectral and optimality blocks come from one eigendecomposition:
-        the one batched ``eigvalsh`` of the scan kernel, and no other."""
-        calls = []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
-            original = getattr(np.linalg, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, counting)
+        """The spectral and optimality blocks come from the scan's closed-form
+        eigenvalues: no eigendecomposition and no SVD at all."""
+        calls = count_decompositions(monkeypatch)
         code, payload = run_json(capsys, ["analyze", *WORKED_ARGS])
         assert code == 0
-        assert calls == ["eigvalsh"]
+        assert calls == []
         assert payload["optimality"]["eta"] == payload["spectral"]["eta"] == 1
 
 
@@ -372,6 +379,21 @@ class TestScan:
         assert row[3:6] == ["true", "true", "1"]
         assert row[6] == "4"
         assert float(row[7]) == pytest.approx(5.89824e-5, abs=1e-12)
+
+    @pytest.mark.parametrize("model,axes", [
+        ("two-level", ["--a1", "0:0.3:0.1", "--a2", "0.2", "--a3", "0.1:0.2:0.1"]),
+        ("three-level", ["--a1", "0.1", "--a2", "0.15", "--a3", "0.2", "--a4", "0.05",
+                         "--a5", "0:0.08:0.04", "--a6", "0.04"]),
+    ])
+    def test_decomposes_nothing(self, capsys, monkeypatch, model, axes):
+        """Rows come from closed-form eigenvalues: no eigendecomposition and
+        no SVD for any point."""
+        calls = count_decompositions(monkeypatch)
+        assert main(["scan", "--model", model, *axes]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert calls == []
+        assert len(rows) == (8 if model == "two-level" else 3)
+        assert all(row.split(",")[len(axes) // 2] == "true" for row in rows)
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         paths = [str(tmp_path / f"scan{i}.csv") for i in range(3)]
@@ -655,6 +677,7 @@ class TestGamma:
             raise AssertionError("a generator was built")
 
         monkeypatch.setattr(cli.channels, "_family_generators", no_generators)
+        monkeypatch.setattr(cli.channels, "_family_eigenvalues", no_generators)
         argv = {
             "analyze": ["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3"],
             "check-observable": ["check-observable", "--model", "two-level",
@@ -677,6 +700,52 @@ class TestUsageErrors:
     ])
     def test_exit_1_with_one_line(self, capsys, argv, needle):
         assert needle in assert_one_line_error(capsys, main(argv))
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start from an unbuilt parser, and leave none behind."""
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser")
+class TestParserReuse:
+    """``main`` builds one parser per process and reuses it."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("prog"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        for argv in (["analyze", *WORKED_ARGS], ["--tol", "1e-6", "analyze", *WORKED_ARGS],
+                     ["scan", "--model", "two-level", "--a1", "0.1", "--a2", "0.2",
+                      "--a3", "0.3"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert built.count("strobetomo") == 1
+
+    def test_usage_error_after_a_success(self, capsys):
+        assert main(["analyze", *WORKED_ARGS]) == 0
+        capsys.readouterr()
+        assert "--params" in assert_one_line_error(capsys, main(["analyze", "--model", "two-level"]))
+        assert main(["analyze", *WORKED_ARGS]) == 0
+
+    def test_replaced_command_is_reached(self, capsys, monkeypatch):
+        """A ``cmd_*`` replaced after the parser was built is the one that
+        runs (a tracer wraps them this way)."""
+        argv = ["scan", "--model", "two-level", "--a1", "0.1", "--a2", "0.2", "--a3", "0.3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args.a1) or 7)
+        assert main(argv) == 7
+        assert seen == ["0.1"]
 
 
 class TestSchemaRoundTrips:

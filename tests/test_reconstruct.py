@@ -10,11 +10,10 @@ from strobetomo.channels import (
     generator_three_level,
     generator_two_level,
 )
-from strobetomo.matcore import ConditioningError
+from strobetomo.matcore import ConditioningError, _hermitian_basis
 from strobetomo.reconstruct import (
     MeasurementRecord,
     TimeGrid,
-    _hermitian_basis,
     default_time_grid,
     evolve,
     execute,
