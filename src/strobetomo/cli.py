@@ -23,16 +23,16 @@ one invocation; it must be finite and positive.  It is passed explicitly to
 every spectral, span and planning call the subcommand makes.  ``--gamma``
 must be finite and positive too; both are checked before any work.
 
-``scan`` draws its grid points lazily, in lexicographic order, in chunks
-of ``SCAN_CHUNK`` (4,096) points.  Each chunk is validated, given its
-closed-form eigenvalues (no generator, no eigensolver) and formatted as
-arrays, and its rows are written as soon as it is done, so memory does not
-grow with the grid.  ``--workers N`` spreads the chunks over N processes
-with ``Pool.imap``, which keeps their order.  ``analyze`` reads its
-spectral block off the same closed form and kernel, so a scan row equals
-``analyze`` at the same point bit for bit, and the CSV is byte-identical
-whatever the chunk size or worker count.  ``reconstruct`` reads eta off
-each stage's ``eigh``, so no subcommand takes the general
+``scan`` splits its grid's flat indices (lexicographic order) into ranges
+of ``SCAN_CHUNK`` (4,096).  A chunk builds and formats only the axis
+values it touches, is validated and given closed-form eigenvalues (no
+generator, no eigensolver) as arrays, and is written when done, so memory
+does not grow with the grid, whatever its shape.  ``--workers N`` maps the
+chunks over N processes with ``Pool.imap``, which keeps their order.
+``analyze`` reads its spectral block off the same closed form and kernel,
+so a scan row equals ``analyze`` at the same point bit for bit, and the CSV
+is byte-identical whatever the chunk size or worker count.  ``reconstruct``
+reads eta off each stage's ``eigh``, so no subcommand takes the general
 ``spectral_report`` route; discriminants agree with it to about 1e-12
 relative.  In-process :func:`main` calls share one argument parser.
 """
@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -115,13 +114,18 @@ def _complex_to_json(z: complex) -> list:
     return [x if math.isfinite(x) else repr(x) for x in (z.real, z.imag)]
 
 
-def _emit(payload: dict, output: str | None) -> None:
+def _emit(payload: dict, output: str | None, code: int) -> int:
+    """Write the JSON report; ``code``, or exit 1 if ``output`` cannot be written."""
     text = json.dumps(payload, indent=2)
-    if output:
+    if not output:
+        print(text)
+        return code
+    try:
         with open(output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
+    return code
 
 
 def _fail(message: str, code: int = EXIT_INPUT) -> int:
@@ -222,8 +226,7 @@ def cmd_analyze(args) -> int:
             "notes": list(opt.notes),
         },
     }
-    _emit(payload, args.output)
-    return EXIT_OK if opt.optimal else EXIT_DEGENERATE
+    return _emit(payload, args.output, EXIT_OK if opt.optimal else EXIT_DEGENERATE)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +266,7 @@ def cmd_check_observable(args) -> int:
             "D": obs.d,
             "admissible": analysis.two_level_admissible(obs),
         }
-    _emit(payload, args.output)
-    return EXIT_OK if admissible else EXIT_DEGENERATE
+    return _emit(payload, args.output, EXIT_OK if admissible else EXIT_DEGENERATE)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +376,7 @@ def cmd_reconstruct(args) -> int:
     }
     if truth is not None:
         payload["frobenius_error"] = float(np.linalg.norm(result.estimate - truth))
-    _emit(payload, args.output)
-    return EXIT_OK
+    return _emit(payload, args.output, EXIT_OK)
 
 
 def _build_grid(spec: str, gen, p: int, tol: float) -> reconstruct.TimeGrid:
@@ -392,8 +393,8 @@ def _build_grid(spec: str, gen, p: int, tol: float) -> reconstruct.TimeGrid:
 
 def _parse_range(raw: str) -> tuple[float, float, int]:
     """Either a single float or an inclusive lo:hi:step range, as
-    (lo, step, count); the values are built by :func:`_axis` only after
-    the grid size has passed the cap."""
+    (lo, step, count); value k is ``lo + k * step``, built by each
+    :func:`_scan_chunk` for the indices it covers."""
     if ":" not in raw:
         lo, hi, step = float(raw), float(raw), 1.0
     else:
@@ -413,36 +414,40 @@ def _parse_range(raw: str) -> tuple[float, float, int]:
     return lo, step, math.floor(span) + 1
 
 
-def _axis(lo: float, step: float, count: int) -> list[float]:
-    return [lo + k * step for k in range(count)]
-
-
 def _scan_chunk(job) -> str:
-    """CSV rows of one chunk of grid points, validated, given their
-    closed-form eigenvalues and formatted as arrays; returns text so
-    formatting is fixed at the worker."""
-    points, gamma, tol = job
-    coeffs, _, cptp, distinct = channels._family_domain(points)
+    """CSV rows of the grid points at flat indices [start, stop), in
+    lexicographic order.  Each axis builds (``lo + k * step``) and formats
+    only the values the chunk touches, once each; the points are validated,
+    given their closed-form eigenvalues and formatted as arrays.  Returns
+    text so formatting is fixed at the worker."""
+    ranges, start, stop, gamma, tol = job
+    index, first, last = np.arange(start, stop), start, stop - 1
+    points, columns = [], []
+    for lo, step, count in reversed(ranges):
+        # This axis runs over (first..last) mod count, so over at most count values.
+        coords = [lo + (first + i) % count * step for i in range(min(last - first + 1, count))]
+        texts = list(map(repr, coords))
+        local = (index - first) % count
+        points.append(np.array(coords)[local])
+        columns.append(list(map(texts.__getitem__, local.tolist())))
+        index, first, last = index // count, first // count, last // count
+    coeffs, _, cptp, distinct = channels._family_domain(np.stack(points[::-1], axis=1))
     values = channels._family_eigenvalues(coeffs[cptp], gamma)
     spectra = analysis._family_spectra(values, tol)
+    flags = ("false,false,,,\n", "false,true,,,\n", "true,false,", "true,true,")
+    tails = list(map(flags.__getitem__, (2 * cptp + distinct).tolist()))
     cells = zip(spectra.eta.tolist(), spectra.mu.tolist(), spectra.discriminant.tolist())
-    flag = ("false", "true")
-    lines = []
-    for point, in_domain, simple in zip(points, cptp.tolist(), distinct.tolist()):
-        head = ",".join(map(repr, point)) + f",{flag[in_domain]},{flag[simple]},"
-        if in_domain:
-            eta, mu, disc = next(cells)
-            lines.append(f"{head}{eta},{mu},{disc!r}\n")
-        else:
-            lines.append(f"{head},,\n")
-    return "".join(lines)
+    for i, (eta, mu, disc) in zip(np.flatnonzero(cptp).tolist(), cells):
+        tails[i] += f"{eta},{mu},{disc!r}\n"
+    return "".join(map(",".join, zip(*columns[::-1], tails)))
 
 
 def cmd_scan(args) -> int:
     model = args.model
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        return _fail(f"--workers must be between 1 and {cpus}, got {args.workers}")
+    if args.workers != 1:
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.workers <= cpus:
+            return _fail(f"--workers must be between 1 and {cpus}, got {args.workers}")
     names = SCAN_AXES[model]
     stray = [f"--{name}" for name in SCAN_AXES["three-level"][len(names):]
              if getattr(args, name) is not None]
@@ -464,16 +469,19 @@ def cmd_scan(args) -> int:
     if total > SCAN_POINT_CAP:
         return _fail(f"grid holds {total} points, above the {SCAN_POINT_CAP} cap")
 
-    # Lexicographic order over grid indices, last axis fastest, drawn
-    # lazily one chunk at a time.
-    points = itertools.product(*(_axis(*r) for r in ranges))
+    # Flat indices in lexicographic order, last axis fastest, one chunk a job.
     jobs = (
-        (chunk, args.gamma, args.tol)
-        for chunk in iter(lambda: list(itertools.islice(points, SCAN_CHUNK)), [])
+        (ranges, start, min(start + SCAN_CHUNK, total), args.gamma, args.tol)
+        for start in range(0, total, SCAN_CHUNK)
     )
     header = ",".join(names + ("cptp_domain", "nondegenerate", "eta", "mu", "discriminant"))
     with contextlib.ExitStack() as stack:
-        out = stack.enter_context(open(args.output, "w", newline="")) if args.output else sys.stdout
+        out = sys.stdout
+        if args.output:
+            try:
+                out = stack.enter_context(open(args.output, "w", newline=""))
+            except OSError as exc:
+                return _fail(f"cannot write output: {exc}")
         if args.workers > 1:
             import multiprocessing
 

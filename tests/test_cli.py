@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,10 +426,10 @@ class TestScan:
     def test_point_cap_is_checked_before_the_axes_are_built(self, capsys, monkeypatch):
         """1e10 + 1 values on one axis are refused from the counts alone."""
 
-        def build_axis(*args):
-            raise AssertionError("axis built before the cap check")
+        def no_chunk(job):
+            raise AssertionError("a chunk was built before the cap check")
 
-        monkeypatch.setattr(cli, "_axis", build_axis)
+        monkeypatch.setattr(cli, "_scan_chunk", no_chunk)
         code = main(
             ["scan", "--model", "two-level", "--a1", "0:1e-300:1e-310", "--a2", "0.2", "--a3", "0.3"]
         )
@@ -457,6 +459,20 @@ class TestScan:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: --workers") and captured.err.count("\n") == 1
+
+    def test_default_workers_do_not_count_cpus(self, capsys, monkeypatch):
+        """One worker needs no CPU count; other counts are still checked."""
+        message = f"error: --workers must be between 1 and {os.cpu_count() or 1}, got 0\n"
+
+        def no_count():
+            raise AssertionError("os.cpu_count was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "cpu_count", no_count)
+            assert main(self.GRID_ARGS) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 11 * 11
+        assert main(self.GRID_ARGS + ["--workers", "0"]) == 1
+        assert capsys.readouterr().err == message
 
     def test_empty_range_exits_1(self, capsys):
         code = main(
@@ -542,6 +558,54 @@ def test_scan_bytes_do_not_depend_on_chunks_or_workers(model, lows, counts, step
     first = blobs[(4096, 1)]
     assert first.count(b"\n") == 1 + int(np.prod(counts[:d]))
     assert all(blob == first for blob in blobs.values())
+
+
+def _scan_axis_arg(lo, step, count):
+    return repr(lo) if count == 1 else f"{lo!r}:{lo + (count - 0.5) * step!r}:{step!r}"
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    lows=st.tuples(*[st.floats(0.0, 0.3)] * 3),
+    steps=st.tuples(*[st.floats(0.001, 0.05)] * 3),
+    counts=st.tuples(*[st.integers(1, 12)] * 3).filter(lambda c: max(c) > 1),
+    chunk=st.sampled_from([1, 5, 7, 4096]),
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_scan_chunks_are_flat_index_ranges(lows, steps, counts, chunk, gamma):
+    """Over 1 to 3 varied qubit axes, some longer than the chunk, the
+    coordinate columns are ``repr(lo + k * step)`` in ``itertools.product``
+    order, and the bytes equal those of a single-chunk scan."""
+    raws = [_scan_axis_arg(*axis) for axis in zip(lows, steps, counts)]
+    ranges = [cli._parse_range(raw) for raw in raws]
+    assert [count for _, _, count in ranges] == list(counts)
+    argv = ["scan", "--model", "two-level", "--gamma", repr(gamma)]
+    argv += [arg for i, raw in enumerate(raws) for arg in (f"--a{i + 1}", raw)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        blob, whole = (_scan_bytes(argv, pathlib.Path(tmp), mp, size, 1)
+                       for size in (chunk, cli.SCAN_POINT_CAP))
+    assert blob == whole
+    rows = [line.split(",")[:3] for line in blob.decode().splitlines()[1:]]
+    axes = [[repr(lo + k * step) for k in range(count)] for lo, step, count in ranges]
+    assert rows == [list(point) for point in itertools.product(*axes)]
+
+
+def test_one_axis_scan_memory_is_bounded_by_the_chunk():
+    """Under tracemalloc, a 2e5-point one-axis scan peaks within 1 MB of a
+    1e4-point one: a chunk builds only its own axis values."""
+    step = 2.0**-20  # exact, so the axis holds exactly n points, all in the domain
+    point = ["scan", "--model", "two-level", "--a2", "0.2", "--a3", "0.3", "--output", os.devnull]
+    assert main([*point, "--a1", "0.1"]) == 0  # builds the parser outside the trace
+    peaks = {}
+    for n in (10_000, 200_000):
+        argv = [*point, "--a1", _scan_axis_arg(0.0, step, n)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200_000] - peaks[10_000] <= 1 << 20
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
@@ -689,6 +753,27 @@ class TestGamma:
         }[command]
         code = main([*argv, "--gamma", gamma])
         assert assert_one_line_error(capsys, code).startswith("error: --gamma")
+
+
+@pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
+def test_unwritable_output_exits_1(capsys, tmp_path, monkeypatch, command):
+    """An --output in a missing directory is one error line, not a traceback;
+    scan refuses it before any chunk is built."""
+    q = write_matrix(tmp_path / "q.json", [[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+    rho = write_matrix(tmp_path / "rho.json", [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
+    argv = {
+        "analyze": ["analyze", *WORKED_ARGS],
+        "check-observable": ["check-observable", *WORKED_ARGS, "--observable", q],
+        "reconstruct": ["reconstruct", *WORKED_ARGS, "--observable", q, "--rho0", rho],
+        "scan": ["scan", "--model", "two-level", "--a1", "0.1", "--a2", "0.2", "--a3", "0.3"],
+    }[command]
+
+    def no_chunk(job):
+        raise AssertionError("a chunk was built before the output was opened")
+
+    monkeypatch.setattr(cli, "_scan_chunk", no_chunk)
+    code = main([*argv, "--output", str(tmp_path / "missing" / "out")])
+    assert "cannot write output" in assert_one_line_error(capsys, code)
 
 
 class TestUsageErrors:
