@@ -13,17 +13,19 @@ Both family generators are linear in the parameters,
 ``L = gamma sum_k a_k D(B_k)``, where ``D(B_k)`` is the dissipator of the
 k-th Pauli or Gell-Mann matrix.  The dissipators are built once at import,
 with the same formula :func:`generator_from_lindblad` uses, and they are
-real.  A whole array of parameter points is validated by one array rule
-(``_family_domain``, which ``validate_*`` read their flags from) and turned
-into a real (k, n^2, n^2) generator stack by one fixed-order sum over the
-dissipators (``_family_generators``); a single point is the k = 1 row, bit
-for bit.  Both generators are *real symmetric* matrices in vectorized
-form, diagonal in the fixed Hermitian basis ``matcore._hermitian_basis``:
-L(a) = U^dagger diag(gamma M a) U, with M (4 x 3 or 9 x 8) read off the
-dissipators' diagonals at import.  ``_family_eigenvalues`` gives a whole
-stack's sorted eigenvalues from it, with no generator and no eigensolver,
-for ``scan`` and ``analyze``.  The paper's spectrum displays
-(``closed_form_spectrum_*``) cross-check both routes.
+real, so a generator is one fixed-order sum over them
+(``_family_generator``).  Both generators are *real symmetric* matrices in
+vectorized form, diagonal in the fixed Hermitian basis
+``matcore._hermitian_basis``: L(a) = U^dagger diag(gamma M a) U, with M
+(4 x 3 or 9 x 8) read off the dissipators' diagonals at import.
+``_family_eigenvalues`` gives a whole array of points' sorted eigenvalues
+from it, with no generator and no eigensolver, for ``scan`` and
+``analyze``.  One array rule (``_family_domain``, which ``validate_*``
+read their flags from) validates an array of points: ``nondegenerate``
+means a simple closed-form spectrum, for every point, in or out of the
+CPTP domain; on the domain that is pairwise distinctness of the
+coefficients.  The paper's spectrum displays (``closed_form_spectrum_*``)
+cross-check the closed form.
 
 Operator bases are normalized to ``Tr(B_i B_j) = 2 delta_ij`` (standard
 Pauli/Gell-Mann convention).  The dependent-coefficient identities above
@@ -75,10 +77,6 @@ __all__ = [
     "embed_one_param",
     "kraus_vs_semigroup_deviation",
 ]
-
-#: Pairwise distinctness below this relative gap counts as degenerate,
-#: mirroring the eigenvalue clustering rule in :mod:`.matcore`.
-_DISTINCT_RTOL = matcore.CLUSTER_TOL
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -216,8 +214,9 @@ class ValidityReport:
 
     ``cptp_domain``: nonnegativity and the completeness bound hold, so the
     Kraus set is a channel at every t >= 0.  ``nondegenerate``: the
-    closed-form spectrum is simple (pairwise distinct quantities).
-    ``violations`` lists human-readable reasons for any failed flag.
+    closed-form spectrum is simple, at any point (on the CPTP domain this
+    is pairwise distinctness of the coefficients).  ``violations`` lists
+    human-readable reasons for any failed flag.
     """
 
     cptp_domain: bool
@@ -229,15 +228,6 @@ class ValidityReport:
         return self.cptp_domain and self.nondegenerate
 
 
-def _pairwise_distinct(values, scale):
-    """Smallest pairwise gap along the last axis above
-    ``_DISTINCT_RTOL * scale``, for each leading index.  Rounded
-    subtraction is monotone, so the smallest gap is between sorted
-    neighbours."""
-    v = np.sort(values, axis=-1)
-    return (v[..., 1:] - v[..., :-1]).min(axis=-1) > _DISTINCT_RTOL * np.maximum(scale, 1e-300)
-
-
 def _family_domain(points):
     """The domain rule of both families over a (k, d) array of points.
 
@@ -247,6 +237,15 @@ def _family_domain(points):
     factor f), and the ``cptp_domain`` and ``nondegenerate`` flags, each of
     shape (k,).  Every quantity is summed in the order the parameter
     records use, so a row's flags are those of the point on its own.
+
+    ``nondegenerate`` is a simple closed-form spectrum: every gap of the
+    sorted unit-rate eigenvalues ``_family_eigenvalues(coeffs, 1.0)``
+    exceeds ``CLUSTER_TOL * 2 max|a|`` (scale 1 for a zero row), in or out
+    of the domain.  Mode k's eigenvalue is 2(a_k - c), with c = a1+a2+a3
+    for the qubit and 3f/4 for the qutrit, beside the stationary 0.  On the
+    domain each |a_k - c| is at least one coefficient gap, so the flag is
+    pairwise distinctness of the coefficients; off it, a mode can also
+    meet 0.
     """
     a = np.asarray(points, dtype=float)
     s3 = a[:, 0] + a[:, 1] + a[:, 2]
@@ -259,14 +258,15 @@ def _family_domain(points):
         bound = (2.0 / 3.0) * (2 * s3 + a[:, 3] + a[:, 4])
     cptp = ~((coeffs < 0).any(axis=1) | (bound > 1))
     scale = np.abs(coeffs).max(axis=1)
-    distinct = _pairwise_distinct(coeffs, np.where(scale > 0, scale, 1.0))
-    return coeffs, bound, cptp, distinct
+    gaps = np.diff(_family_eigenvalues(coeffs, 1.0), axis=1).min(axis=1)
+    simple = gaps > 2.0 * matcore.CLUSTER_TOL * np.where(scale > 0, scale, 1.0)
+    return coeffs, bound, cptp, simple
 
 
 def _validity(point, names, bound_message: str, tie_message: str) -> ValidityReport:
     """:class:`ValidityReport` of one point: the flags of :func:`_family_domain`
     plus a message for each broken condition."""
-    coeffs, bound, cptp, distinct = (x[0] for x in _family_domain([point]))
+    coeffs, bound, cptp, simple = (x[0] for x in _family_domain([point]))
     violations = [
         f"{name} = {val} violates nonnegativity"
         for name, val in zip(names, coeffs.tolist())
@@ -274,19 +274,20 @@ def _validity(point, names, bound_message: str, tie_message: str) -> ValidityRep
     ]
     if bound > 1:
         violations.append(bound_message.format(float(bound)))
-    if not distinct:
-        violations.append(tie_message)
+    if not simple:  # tie_message states the rule on the domain
+        violations.append(tie_message if cptp else "the closed-form spectrum is not simple")
     return ValidityReport(
-        cptp_domain=bool(cptp), nondegenerate=bool(distinct), violations=tuple(violations)
+        cptp_domain=bool(cptp), nondegenerate=bool(simple), violations=tuple(violations)
     )
 
 
 def validate_two_level(p: TwoLevelParams) -> ValidityReport:
     """Domain check for the qubit family.
 
-    CPTP requires each ``a_i >= 0`` and ``a1+a2+a3 <= 1``; non-degeneracy
-    of the generator spectrum is equivalent to pairwise distinctness of
-    {a1, a2, a3}.
+    CPTP requires each ``a_i >= 0`` and ``a1+a2+a3 <= 1``.  The
+    non-degeneracy flag is simplicity of the closed-form spectrum
+    {0, -2(a1+a2), -2(a1+a3), -2(a2+a3)} at any point; on the CPTP domain
+    it is equivalent to pairwise distinctness of {a1, a2, a3}.
     """
     return _validity(
         p.coefficients,
@@ -301,9 +302,9 @@ def validate_three_level(p: ThreeLevelParams) -> ValidityReport:
 
     CPTP requires a1..a8 >= 0 (a7, a8 being the derived coefficients) and
     the completeness factor f = (2/3)(2a1+2a2+2a3+a4+a5) <= 1.  The
-    non-degeneracy flag is pairwise distinctness of all eight quantities
-    {a1..a6, a7, a8}, which is equivalent to simplicity of the closed-form
-    spectrum on the CPTP domain.
+    non-degeneracy flag is simplicity of the closed-form spectrum
+    {0} u {2(a_k - 3f/4)} at any point; on the CPTP domain it is equivalent
+    to pairwise distinctness of all eight quantities {a1..a6, a7, a8}.
     """
     return _validity(
         p.coefficients[:6],
@@ -427,26 +428,11 @@ def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     return gen
 
 
-def _family_generators(coeffs, gamma: float) -> np.ndarray:
-    """Real (k, n^2, n^2) stack gamma sum_j coeffs[:, j] D(B_j).
-
-    ``coeffs`` is (k, 3) for the qubit family and (k, 8) for the qutrit
-    one (all eight Kraus coefficients).  The terms are added elementwise in
-    a fixed order, so a row's bits do not depend on k.  Performs no domain
-    check: for callers that have validated the points.
-    """
-    rates = gamma * np.asarray(coeffs, dtype=float)[:, :, None, None]
-    stack = _PAULI_DISSIPATORS if rates.shape[1] == 3 else _GELLMANN_DISSIPATORS
-    gens = rates[:, 0] * stack[0]
-    for j in range(1, len(stack)):
-        gens += rates[:, j] * stack[j]
-    return gens
-
-
 def _family_eigenvalues(coeffs, gamma: float) -> np.ndarray:
-    """Ascending (k, n^2) eigenvalues of :func:`_family_generators`, read off
-    the closed form gamma M a.  M's columns are added elementwise in a fixed
-    order, not by a matrix product, so a row's bits do not depend on k."""
+    """Ascending (k, n^2) generator eigenvalues of a (k, 3) or (k, 8) array
+    of Kraus coefficients, read off the closed form gamma M a.  M's columns
+    are added elementwise in a fixed order, not by a matrix product, so a
+    row's bits do not depend on k."""
     rates = gamma * np.asarray(coeffs, dtype=float)
     m = _PAULI_RATES if rates.shape[1] == 3 else _GELLMANN_RATES
     values = rates[:, 0, None] * m[:, 0]
@@ -457,8 +443,14 @@ def _family_eigenvalues(coeffs, gamma: float) -> np.ndarray:
 
 
 def _family_generator(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
-    """The k = 1 row of :func:`_family_generators` for one parameter record."""
-    return _family_generators([p.coefficients], p.gamma)[0]
+    """Real generator gamma sum_k a_k D(B_k) of one parameter record, summed
+    in the fixed order k = 1, 2, ...  Performs no domain check."""
+    rates = [p.gamma * a for a in p.coefficients]
+    stack = _PAULI_DISSIPATORS if len(rates) == 3 else _GELLMANN_DISSIPATORS
+    gen = rates[0] * stack[0]
+    for rate, dissipator in zip(rates[1:], stack[1:]):
+        gen += rate * dissipator
+    return gen
 
 
 def generator_two_level(p: TwoLevelParams) -> np.ndarray:

@@ -479,7 +479,7 @@ def cmd_scan(args) -> int:
         out = sys.stdout
         if args.output:
             try:
-                out = stack.enter_context(open(args.output, "w", newline=""))
+                out = open(args.output, "w", newline="")
             except OSError as exc:
                 return _fail(f"cannot write output: {exc}")
         if args.workers > 1:
@@ -491,8 +491,15 @@ def cmd_scan(args) -> int:
             chunks = pool.imap(_scan_chunk, jobs)  # imap keeps the chunk order
         else:
             chunks = map(_scan_chunk, jobs)
-        out.write(header + "\n")
-        out.writelines(chunks)
+        # Closing flushes, so a full disk can fail there too: guard the close.
+        try:
+            with out if args.output else contextlib.nullcontext():
+                out.write(header + "\n")
+                out.writelines(chunks)
+        except BrokenPipeError:
+            raise
+        except OSError as exc:
+            return _fail(f"cannot write output: {exc}")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from strobetomo.channels import (
     _PAULI_DISSIPATORS,
     _PAULI_RATES,
     _family_eigenvalues,
-    _family_generators,
+    _family_generator,
     closed_form_spectrum_three_level,
     closed_form_spectrum_two_level,
     generator_from_lindblad,
@@ -254,9 +254,9 @@ class TestFamilySpectra:
     @given(points=st.lists(lattice_three_level(), min_size=1, max_size=9), gamma=gammas)
     def test_rows_do_not_depend_on_the_stack(self, points, gamma):
         coeffs = [ThreeLevelParams(*a).coefficients for a in points]
-        stack = _family_spectra(np.linalg.eigvalsh(_family_generators(coeffs, gamma)), None)
+        stack = _family_spectra(_family_eigenvalues(coeffs, gamma), None)
         for i, c in enumerate(coeffs):
-            one = _family_spectra(np.linalg.eigvalsh(_family_generators([c], gamma)), None)
+            one = _family_spectra(_family_eigenvalues([c], gamma), None)
             for field in stack._fields[:-1]:
                 np.testing.assert_array_equal(getattr(stack, field)[i], getattr(one, field)[0])
 
@@ -315,9 +315,9 @@ class TestFamilyEigenvalues:
     def test_matches_closed_form_and_eigvalsh(self, a, gamma):
         p, closed = family_point(a, gamma)
         values = _family_eigenvalues([p.coefficients], gamma)
-        solved = np.linalg.eigvalsh(_family_generators([p.coefficients], gamma))
+        solved = np.linalg.eigvalsh(_family_generator(p))
         bound = 1e-13 * np.abs(values).max()
-        assert values.shape == solved.shape == (1, closed.size)
+        assert values.shape == (1, closed.size) and solved.shape == (closed.size,)
         assert np.all(np.diff(values[0]) >= 0)
         assert np.abs(values[0] - np.sort(closed)).max() <= bound
         assert np.abs(values - solved).max() <= bound
@@ -410,6 +410,25 @@ class TestQubitAdmissibility:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             two_level_admissible(np.eye(3))
+
+
+class TestQutritAdmissibility:
+    """Criterion 4's analogue for n = 3: on an optimal qutrit family
+    generator, Q is admissible exactly when its eight traceless coordinates
+    <B_u, Q> in the fixed Hermitian basis are all nonzero."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(gamma=gammas, seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_span_check(self, gamma, seed):
+        rng = np.random.default_rng(seed)
+        a1, a2, a3 = 0.16 * rng.random(3)  # a8 >= 0, a7 >= 0 and f <= 0.96 below
+        a4, a5 = rng.random(2) * (a1 + a2 + a3) / 2
+        p = ThreeLevelParams(a1, a2, a3, a4, a5, rng.random() * (a4 + a5), gamma=gamma)
+        assume(validate_three_level(p).valid)
+        q = rng.choice([-1.0, 1.0], size=9) * rng.uniform(0.1, 1.0, size=9)
+        q[rng.random(9) < 0.15] = 0.0  # the identity's coordinate too, which is free
+        obs = np.tensordot(q, _hermitian_basis(3), axes=1)
+        assert span_check(generator_three_level(p), obs) == bool(np.all(q[1:] != 0))
 
 
 class TestKrylovBasis:

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strobetomo import matcore
 from strobetomo.channels import (
-    _DISTINCT_RTOL,
+    _GELLMANN_DISSIPATORS,
+    _PAULI_DISSIPATORS,
     _family_domain,
     _family_generator,
-    _family_generators,
-    _pairwise_distinct,
     LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
@@ -95,6 +94,10 @@ class TestParameterValidation:
         assert rep.cptp_domain
         assert not rep.nondegenerate
         assert not rep.valid
+        # off the domain a mode can meet the stationary 0 (a1 + a2 = 0)
+        rep = validate_two_level(TwoLevelParams(0.3, -0.3, 0.2))
+        assert (rep.cptp_domain, rep.nondegenerate) == (False, False)
+        assert rep.violations[-1] == "the closed-form spectrum is not simple"
 
     def test_three_level_worked_example_derived_quantities(self):
         assert WORKED_3.a7 == pytest.approx(0.07)
@@ -122,6 +125,10 @@ class TestParameterValidation:
         # a6 = (a4 + a5) / 2 collides the last symmetric pair
         rep = validate_three_level(ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.065, gamma=1.0))
         assert rep.cptp_domain and not rep.nondegenerate
+        # off the domain a mode can meet the stationary 0 (a4 = 3f/4)
+        rep = validate_three_level(ThreeLevelParams(0.01, 0.02, 0.04, 0.17, 0.03, 0.05))
+        assert (rep.cptp_domain, rep.nondegenerate) == (False, False)
+        assert rep.violations[-1] == "the closed-form spectrum is not simple"
 
 
 class TestKrausOperators:
@@ -296,42 +303,41 @@ class TestGeneratorProperties:
             assert np.array_equal(gen, gen.T)
             assert np.all(gen.imag == 0)
 
-
-def full_table_distinct(values, scale):
-    """Smallest of all pairwise gaps, from the full difference table."""
-    v = np.asarray(values, dtype=float)
-    diffs = np.abs(v[:, None] - v[None, :])
-    return bool(np.min(diffs[np.triu_indices(v.size, 1)]) > _DISTINCT_RTOL * max(scale, 1e-300))
-
-
-@st.composite
-def near_tied_values(draw):
-    """3 or 8 finite floats, some of them repeated or one ulp apart."""
-    size = draw(st.sampled_from([3, 8]))
-    values = [draw(st.floats(-1e3, 1e3)) for _ in range(size)]
-    for i in range(1, size):
-        kind = draw(st.sampled_from(["free", "free", "tie", "ulp", "near"]))
-        j = draw(st.integers(0, i - 1))
-        if kind == "tie":
-            values[i] = values[j]
-        elif kind == "ulp":
-            values[i] = float(np.nextafter(values[j], np.inf))
-        elif kind == "near":
-            values[i] = values[j] + draw(st.floats(-1e-5, 1e-5)) * max(abs(values[j]), 1.0)
-    return values
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(a2=two_level_points(), a3=three_level_points(), gamma=gammas)
+    def test_generator_is_the_fixed_order_sum(self, a2, a3, gamma):
+        """gamma a_1 D(B_1) + gamma a_2 D(B_2) + ..., added in that order, bit
+        for bit: the acceptance criteria's numeric spectra rest on it."""
+        for p, stack in (
+            (TwoLevelParams(*a2, gamma=gamma), _PAULI_DISSIPATORS),
+            (ThreeLevelParams(*a3, gamma=gamma), _GELLMANN_DISSIPATORS),
+        ):
+            terms = [(gamma * a) * dissipator for a, dissipator in zip(p.coefficients, stack)]
+            expected = sum(terms[1:], terms[0])  # adds left to right
+            gen = _family_generator(p)
+            assert gen.dtype == np.float64
+            assert np.array_equal(gen, expected)
 
 
-class TestPairwiseDistinct:
-    @settings(derandomize=True, max_examples=500, deadline=None)
-    @given(values=near_tied_values(), scale=st.floats(0.0, 1e4))
-    def test_matches_full_difference_table(self, values, scale):
-        assert _pairwise_distinct(values, scale) == full_table_distinct(values, scale)
+def closed_form_flag(point):
+    """(flag, relative distance from its cut) of the rule the validators
+    state: every gap of the sorted paper spectrum at gamma = 1 above
+    2 CLUSTER_TOL max|a|, a zero point reading its scale as 1."""
+    if len(point) == 3:
+        p = TwoLevelParams(*point)
+        spectrum = closed_form_spectrum_two_level(p)
+    else:
+        p = ThreeLevelParams(*point)
+        spectrum = closed_form_spectrum_three_level(p)
+    gap = np.diff(np.sort(spectrum)).min()
+    cut = 2.0 * matcore.CLUSTER_TOL * (max(abs(a) for a in p.coefficients) or 1.0)
+    return bool(gap > cut), abs(gap - cut) / cut if cut else np.inf
 
 
 def scalar_domain(point):
     """(cptp_domain, nondegenerate) of one point by the per-point rule the
-    validators stated before the array rule: each coefficient >= 0, the
-    bound <= 1, sorted neighbours more than _DISTINCT_RTOL * scale apart."""
+    validators state: each coefficient >= 0, the bound <= 1, and a simple
+    closed-form spectrum."""
     if len(point) == 3:
         coeffs = list(point)
         bound = point[0] + point[1] + point[2]
@@ -340,10 +346,7 @@ def scalar_domain(point):
         coeffs = [*point, a4 + a5 - a6, a1 + a2 + a3 - a4 - a5]
         bound = (2.0 / 3.0) * (2 * (a1 + a2 + a3) + a4 + a5)
     cptp = not any(v < 0 for v in coeffs) and not bound > 1
-    v = sorted(coeffs)
-    scale = max(abs(x) for x in coeffs) or 1.0
-    distinct = min(b - a for a, b in zip(v, v[1:])) > _DISTINCT_RTOL * max(scale, 1e-300)
-    return cptp, distinct
+    return cptp, closed_form_flag(point)[0]
 
 
 @st.composite
@@ -375,6 +378,33 @@ def boundary_point(draw, d):
     return tuple(a)
 
 
+def spectrum_rows(d):
+    """(modes, d) matrix of the unit-rate paper spectrum, linear in the point."""
+    spectrum = closed_form_spectrum_two_level if d == 3 else closed_form_spectrum_three_level
+    params = TwoLevelParams if d == 3 else ThreeLevelParams
+    return np.array([spectrum(params(*np.eye(d)[i])) for i in range(d)]).T
+
+
+@st.composite
+def near_degenerate_point(draw, d):
+    """A point of either sign, in or out of the domain: free, or with two
+    modes (the stationary one among them) tied, or moved apart from a tie by
+    a gap spread around the cluster cut."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(draw(st.sampled_from([-0.5, 0.0])), 0.5, size=d)
+    rows = spectrum_rows(d)
+    k, m = rng.choice(len(rows), size=2, replace=False)
+    slope = rows[k] - rows[m]
+    i = rng.choice(np.flatnonzero(slope))
+    kind = draw(st.sampled_from(["free", "tie", "near", "near"]))
+    if kind != "free":
+        a[i] -= slope @ a / slope[i]
+    if kind == "near":
+        gap = 2 * matcore.CLUSTER_TOL * 10.0 ** rng.uniform(-1.5, 1.5) * np.abs(a).max()
+        a[i] += rng.choice([-1.0, 1.0]) * gap / slope[i]
+    return tuple(a.tolist())
+
+
 class TestFamilyDomain:
     @pytest.mark.parametrize("d", [3, 6])
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -389,15 +419,17 @@ class TestFamilyDomain:
             assert (c, n) == (report.cptp_domain, report.nondegenerate) == scalar_domain(point)
             assert bool(report.violations) == (not (c and n))
 
-    @settings(derandomize=True, max_examples=50, deadline=None)
-    @given(points=st.lists(three_level_points(), min_size=1, max_size=9), gamma=gammas)
-    def test_stack_rows_are_single_generators(self, points, gamma):
-        """Row i of the stack is the generator of point i alone, bit for bit."""
-        params = [ThreeLevelParams(*a, gamma=gamma) for a in points]
-        stack = _family_generators([p.coefficients for p in params], gamma)
-        for row, p in zip(stack, params):
-            assert np.array_equal(row, _family_generator(p))
-        assert stack.dtype == np.float64
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flag_is_a_simple_closed_form_spectrum(self, data):
+        """In and out of the domain, ties with the stationary 0 included."""
+        d = data.draw(st.sampled_from([3, 6]))
+        point = data.draw(near_degenerate_point(d))
+        flag, distance = closed_form_flag(point)
+        assume(distance > 1e-6)
+        validate = validate_two_level if d == 3 else validate_three_level
+        params = TwoLevelParams if d == 3 else ThreeLevelParams
+        assert validate(params(*point)).nondegenerate == flag
 
 
 class TestClosedFormSpectra:

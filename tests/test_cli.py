@@ -1,3 +1,5 @@
+import errno
+import io
 import itertools
 import json
 import os
@@ -370,6 +372,17 @@ class TestScan:
             assert (float(disc) == 0.0) == degenerate
             assert (eta == "1") == (not degenerate)
 
+    @pytest.mark.parametrize("model,point", [
+        ("two-level", ["0.3", "-0.3", "0.2"]),
+        ("three-level", ["0.01", "0.02", "0.04", "0.17", "0.03", "0.05"]),
+    ])
+    def test_off_domain_tie_with_zero_is_degenerate(self, capsys, model, point):
+        """Distinct coefficients, but a mode at the stationary eigenvalue 0."""
+        axes = [f"--{name}={value}" for name, value in zip(cli.SCAN_AXES[model], point)]
+        assert main(["scan", "--model", model, *axes]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row == ",".join(point) + ",false,false,,,"
+
     def test_single_point_matches_analyze(self, capsys):
         code = main(
             ["scan", "--model", "two-level", "--a1", "0.1", "--a2", "0.2", "--a3", "0.3"]
@@ -740,7 +753,7 @@ class TestGamma:
         def no_generators(*args, **kwargs):
             raise AssertionError("a generator was built")
 
-        monkeypatch.setattr(cli.channels, "_family_generators", no_generators)
+        monkeypatch.setattr(cli.channels, "_family_generator", no_generators)
         monkeypatch.setattr(cli.channels, "_family_eigenvalues", no_generators)
         argv = {
             "analyze": ["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3"],
@@ -774,6 +787,40 @@ def test_unwritable_output_exits_1(capsys, tmp_path, monkeypatch, command):
     monkeypatch.setattr(cli, "_scan_chunk", no_chunk)
     code = main([*argv, "--output", str(tmp_path / "missing" / "out")])
     assert "cannot write output" in assert_one_line_error(capsys, code)
+
+
+class FullDisk(io.StringIO):
+    """A text file whose writes, or whose close, fail as on a full disk."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def full(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.fail_on == "write":
+            self.full()
+        return super().write(text)
+
+    def close(self):
+        super().close()
+        if self.fail_on == "close":
+            self.full()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("fail_on", ["write", "close"])
+def test_scan_write_error_exits_1(capsys, monkeypatch, fail_on, workers):
+    """A full disk met while writing the rows or closing the file is one
+    error line, not a traceback."""
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(fail_on), raising=False)
+    workers = min(workers, os.cpu_count() or 1)
+    code = main(["scan", "--model", "two-level", "--a1", "0:0.5:0.05", "--a2", "0.2",
+                 "--a3", "0.3", "--workers", str(workers), "--output", "full.csv"])
+    err = assert_one_line_error(capsys, code)
+    assert err.startswith("error: cannot write output: ") and os.strerror(errno.ENOSPC) in err
 
 
 class TestUsageErrors:
