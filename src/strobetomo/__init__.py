@@ -61,7 +61,6 @@ from .matcore import (
     Spectrum,
     eig,
     eigh,
-    hs_inner,
     propagate,
     unvec,
     vec,
@@ -127,7 +126,6 @@ __all__ = [
     "Spectrum",
     "eig",
     "eigh",
-    "hs_inner",
     "propagate",
     "unvec",
     "vec",

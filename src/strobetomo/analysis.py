@@ -8,7 +8,8 @@ the regime where a single observable suffices.
 
 Three equivalent certificates are wired together here and cross-reported:
 
-* eta computed from clustered eigenvalues and null-space ranks;
+* eta computed from clustered eigenvalues: the largest cluster for a
+  Hermitian generator, null-space ranks for any other;
 * the discriminant D = prod_{i<j} (lambda_i - lambda_j)^2, nonzero exactly
   when the spectrum is simple (simple spectrum => nonderogatory => eta = 1
   for diagonalizable generators);
@@ -17,16 +18,18 @@ Three equivalent certificates are wired together here and cross-reported:
   generator, the number of distinct eigenvalues).
 
 There is one spectral route per kind of input.  Family generators are real
-symmetric, so ``_family_spectra`` reads their indices off their eigenvalues
-alone (the general rules specialised to a Hermitian matrix, per row as
-arrays): ``scan`` and ``analyze`` feed it closed-form eigenvalues
+symmetric, hence diagonalizable, so ``_family_spectra`` reads eta (the
+largest cluster) and mu (the cluster count) off their eigenvalues alone:
+``scan`` and ``analyze`` feed it closed-form eigenvalues
 (``channels._family_eigenvalues``, no eigensolver), the default time grid
 and the plan the values of their ``matcore.eigh``, and ``analyze`` equals
 every scan row bit for bit.  :func:`spectral_report` and
 :func:`optimality_report` take the general route (:func:`matcore.eig`:
 complex eigenvalues plus one SVD per cluster) for any square generator,
-Jordan blocks included; on family generators they agree with the kernel on
-eta and mu and to about 1e-12 relative on the discriminant.
+Jordan blocks included.  On family generators they agree with the kernel to
+about 1e-12 relative on the discriminant, and on eta and mu off chains of
+near-equal rates longer than the cluster tolerance, which their nullity
+count can split (eta 2, mu 7 where the kernel reads 4, 6).
 
 For a nonderogatory n^2 x n^2 generator mu equals n^2.  A widely quoted
 variant of this equivalence states mu = n^2 - 1 instead; that value is
@@ -77,7 +80,8 @@ class SpectralReport:
     (real, imaginary) part; ``eta`` is the maximum geometric multiplicity;
     ``mu`` the minimal-polynomial degree; ``discriminant`` the pairwise
     product over cluster representatives (exactly zero whenever any cluster
-    has algebraic multiplicity > 1).
+    has algebraic multiplicity > 1).  On a family generator geometric =
+    algebraic, so eta is the largest cluster and ``tolerance`` decides nothing.
     """
 
     spectrum: matcore.Spectrum
@@ -195,10 +199,10 @@ def spectral_report(gen, tol: float | None = None) -> SpectralReport:
 
 
 def _discriminant(values):
-    """prod_{i<j} (lambda_i - lambda_j)^2 along the last axis; reads inf
-    where the product overflows instead of raising."""
+    """prod_{i<j} (lambda_i - lambda_j)^2 along the last axis; inf where the
+    product overflows, nan where it also meets a tie (callers read 0 there)."""
     i, j = np.triu_indices(values.shape[-1], 1)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.prod((values[..., i] - values[..., j]) ** 2, axis=-1)
 
 
@@ -206,67 +210,54 @@ class _FamilySpectra(NamedTuple):
     """Per-generator results of :func:`_family_spectra`, row i for generator i.
 
     ``labels`` (k, N) the cluster of each eigenvalue, numbered from 0;
-    ``reps``, ``alg`` and ``geo`` (k, N) the representative, algebraic and
-    geometric multiplicity of that cluster; ``eta``, ``mu`` and
-    ``discriminant`` (k,).
+    ``eta``, ``mu`` and ``discriminant`` (k,).
     """
 
     labels: np.ndarray
-    reps: np.ndarray
-    alg: np.ndarray
-    geo: np.ndarray
     eta: np.ndarray
     mu: np.ndarray
     discriminant: np.ndarray
-    tolerance: float
 
 
-def _family_spectra(values, tol: float | None) -> _FamilySpectra:
+def _family_spectra(values) -> _FamilySpectra:
     """Clustered spectra of k Hermitian (family) generators, from their
     ascending eigenvalues ``values`` of shape (k, N), from the closed form
     or from :func:`~strobetomo.matcore.eigh`.
 
-    The rules are :func:`~strobetomo.matcore.eig`'s, specialised to a
-    Hermitian matrix, where ||L||_2 = max |lambda|, the singular values of
-    L - rep I are |lambda_i - rep| and every cluster has index 1:
-
-    * values chain into clusters by ``matcore._cluster_labels``, and mu is
-      the number of clusters;
-    * a cluster's geometric multiplicity is the count of
-      |lambda_i - rep| <= max(tol max_i |lambda_i - rep|, the cluster
-      tolerance), capped to [1, algebraic]; eta is the largest;
-    * the discriminant is zero when any cluster merges.
+    A Hermitian matrix is diagonalizable, so each eigenvalue's geometric
+    multiplicity equals its algebraic one and its index is 1.  Values chain
+    into clusters by ``matcore._cluster_labels``; eta is the size of the
+    largest cluster, mu the number of clusters, and the discriminant is
+    zero when any cluster merges.  No rank tolerance enters.
 
     Each row depends on its own eigenvalues alone, so a stack of k gives
     the bits of k separate calls.  The discriminant agrees with
     :func:`spectral_report` to about 1e-12 relative.
     """
-    tol = matcore._rank_tol(tol)
-    n = values.shape[1]
-    labels, tol_abs = matcore._cluster_labels(values)
-    same = labels[:, :, None] == labels[:, None, :]
-    alg = np.sum(same, axis=2)
-    reps = np.sum(np.where(same, values[:, None, :], 0.0), axis=2) / alg
-    dist = np.abs(values[:, None, :] - reps[:, :, None])
-    cut = np.maximum(tol * np.max(dist, axis=2), tol_abs[:, None])
-    geo = np.clip(np.sum(dist <= cut[:, :, None], axis=2), 1, alg)
+    labels = matcore._cluster_labels(values)[0]
+    # A cluster is a run of equal labels: eta is the longest run.
+    index = np.arange(values.shape[1])
+    starts = np.maximum.accumulate(np.where(np.diff(labels, prepend=-1) != 0, index, 0), axis=1)
+    eta = np.max(index - starts, axis=1) + 1
     mu = labels[:, -1] + 1
-    disc = np.where(mu == n, _discriminant(values), 0.0)
-    return _FamilySpectra(labels, reps, alg, geo, np.max(geo, axis=1), mu, disc, tol)
+    disc = np.where(mu == values.shape[1], _discriminant(values), 0.0)
+    return _FamilySpectra(labels, eta, mu, disc)
 
 
 def _family_report(values, tol: float | None) -> SpectralReport:
     """:class:`SpectralReport` of one family generator from its ascending
     eigenvalues, shape (1, N): the row of :func:`_family_spectra`, so it
-    equals any scan row of the same point bit for bit."""
-    s = _family_spectra(values, tol)
-    first = np.flatnonzero(np.diff(s.labels[0], prepend=-1))
+    equals any scan row of the same point bit for bit.  Each cluster is
+    (mean, size, size); ``tol`` is only reported."""
+    s = _family_spectra(values)
+    members = s.labels[0] == np.arange(s.mu[0])[:, None]
+    sizes = members.sum(axis=1)
+    means = np.where(members, values[0], 0.0).sum(axis=1) / sizes
+    tol = matcore._rank_tol(tol)
     spectrum = matcore.Spectrum(
         eigenvalues=values[0].astype(complex),
-        clusters=tuple(
-            (complex(s.reps[0, a]), int(s.alg[0, a]), int(s.geo[0, a])) for a in first
-        ),
-        tolerance=s.tolerance,
+        clusters=tuple((complex(v), a, a) for v, a in zip(means, sizes.tolist())),
+        tolerance=tol,
         min_poly_degree=int(s.mu[0]),
     )
     return SpectralReport(
@@ -274,7 +265,7 @@ def _family_report(values, tol: float | None) -> SpectralReport:
         eta=int(s.eta[0]),
         mu=int(s.mu[0]),
         discriminant=complex(s.discriminant[0]),
-        tolerance=s.tolerance,
+        tolerance=tol,
     )
 
 

@@ -248,18 +248,20 @@ def _family_domain(points):
     meet 0.
     """
     a = np.asarray(points, dtype=float)
-    s3 = a[:, 0] + a[:, 1] + a[:, 2]
-    if a.shape[1] == 3:
-        coeffs, bound = a, s3
-    else:
-        a7 = a[:, 3] + a[:, 4] - a[:, 5]
-        a8 = s3 - a[:, 3] - a[:, 4]
-        coeffs = np.concatenate([a, a7[:, None], a8[:, None]], axis=1)
-        bound = (2.0 / 3.0) * (2 * s3 + a[:, 3] + a[:, 4])
-    cptp = ~((coeffs < 0).any(axis=1) | (bound > 1))
-    scale = np.abs(coeffs).max(axis=1)
-    gaps = np.diff(_family_eigenvalues(coeffs, 1.0), axis=1).min(axis=1)
-    simple = gaps > 2.0 * matcore.CLUSTER_TOL * np.where(scale > 0, scale, 1.0)
+    # Sums near the float limit overflow off the domain; a nan gap is not simple.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s3 = a[:, 0] + a[:, 1] + a[:, 2]
+        if a.shape[1] == 3:
+            coeffs, bound = a, s3
+        else:
+            a7 = a[:, 3] + a[:, 4] - a[:, 5]
+            a8 = s3 - a[:, 3] - a[:, 4]
+            coeffs = np.concatenate([a, a7[:, None], a8[:, None]], axis=1)
+            bound = (2.0 / 3.0) * (2 * s3 + a[:, 3] + a[:, 4])
+        cptp = ~((coeffs < 0).any(axis=1) | (bound > 1))
+        scale = np.abs(coeffs).max(axis=1)
+        gaps = np.diff(_family_eigenvalues(coeffs, 1.0), axis=1).min(axis=1)
+        simple = gaps > 2.0 * matcore.CLUSTER_TOL * np.where(scale > 0, scale, 1.0)
     return coeffs, bound, cptp, simple
 
 

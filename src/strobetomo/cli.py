@@ -20,7 +20,8 @@ the ``t,value,shots`` layout of :mod:`strobetomo.reconstruct`.
 
 The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
 one invocation; it must be finite and positive.  It is passed explicitly to
-every spectral, span and planning call the subcommand makes.  ``--gamma``
+every span and planning call the subcommand makes; family eta and mu are
+cluster counts, so a scan's CSV is the same at any ``--tol``.  ``--gamma``
 must be finite and positive too; both are checked before any work.
 
 ``scan`` splits its grid's flat indices (lexicographic order) into ranges
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -95,17 +97,20 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix JSON must be an object")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix JSON needs rows, cols and data fields: {exc}") from exc
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"matrix data must hold rows*cols = {rows * cols} entries")
-    flat = []
-    for entry in data:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"matrix entries must be [re, im] pairs, got {entry!r}")
-        flat.append(complex(float(entry[0]), float(entry[1])))
-    m = np.array(flat, dtype=complex).reshape(rows, cols, order="C")
-    return matcore.as_matrix(m)
+    if not all(isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in data):
+        raise ValueError("matrix entries must be [re, im] pairs")
+    try:
+        flat = [complex(float(re), float(im)) for re, im in data]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"matrix entries must be [re, im] number pairs: {exc}") from None
+    m = matcore.as_matrix(np.array(flat, dtype=complex).reshape(rows, cols, order="C"))
+    if np.abs(m).max() > 1e150:  # squared norms and products of entries stay finite
+        raise ValueError("matrix entries must not exceed 1e150 in magnitude")
+    return m
 
 
 def _complex_to_json(z: complex) -> list:
@@ -115,17 +120,40 @@ def _complex_to_json(z: complex) -> list:
 
 
 def _emit(payload: dict, output: str | None, code: int) -> int:
-    """Write the JSON report; ``code``, or exit 1 if ``output`` cannot be written."""
-    text = json.dumps(payload, indent=2)
-    if not output:
-        print(text)
-        return code
+    """Write the JSON report to ``output`` or stdout; ``code``, or 1 on failure."""
     try:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        out = open(output, "w") if output else sys.stdout
     except OSError as exc:
         return _fail(f"cannot write output: {exc}")
-    return code
+    return _write(out, [json.dumps(payload, indent=2) + "\n"]) or code
+
+
+def _write(out, parts) -> int | None:
+    """Write ``parts`` to ``out`` and flush it, closing a file; None, or 1.
+
+    A failed write is one ``error:`` line, and a broken pipe none.  Bytes a
+    failed stdout still buffers would be written again at exit, and fail
+    there with an "Exception ignored" message, so its descriptor is first
+    pointed at ``os.devnull``.
+    """
+    try:
+        with out if out is not sys.stdout else contextlib.nullcontext():
+            out.writelines(parts)
+            out.flush()
+    except OSError as exc:
+        if out is sys.stdout:
+            try:
+                fd = out.fileno()
+            except OSError:  # not a real file (io.UnsupportedOperation)
+                pass
+            else:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_INPUT
+        return _fail(f"cannot write output: {exc}")
+    return None
 
 
 def _fail(message: str, code: int = EXIT_INPUT) -> int:
@@ -166,10 +194,18 @@ def _params_json(model: str, params) -> dict:
     return out
 
 
-def _load_observable(path: str, model: str) -> analysis.ObservableSpec:
+def _read_matrix(path: str) -> np.ndarray:
+    """The matrix JSON file at ``path``; ValueError for a malformed one."""
     with open(path) as fh:
-        obj = json.load(fh)
-    obs = analysis.ObservableSpec.from_matrix(matrix_from_json(obj))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("matrix JSON is nested too deeply") from None
+    return matrix_from_json(obj)
+
+
+def _load_observable(path: str, model: str) -> analysis.ObservableSpec:
+    obs = analysis.ObservableSpec.from_matrix(_read_matrix(path))
     n = 2 if model == "two-level" else 3
     if obs.dim != n:
         raise ValueError(f"the {model} model needs a {n}x{n} observable, got {obs.dim}x{obs.dim}")
@@ -244,7 +280,7 @@ def cmd_check_observable(args) -> int:
         return _fail("; ".join(validity.violations))
     try:
         obs = _load_observable(args.observable, args.model)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load observable: {exc}")
 
     gen = channels._family_generator(params)
@@ -287,12 +323,8 @@ def cmd_reconstruct(args) -> int:
     p_needed = n * n - 1
 
     if not validity.nondegenerate:
-        print(
-            "error: degenerate parameters (eta > 1): a single observable cannot "
-            "reconstruct the state",
-            file=sys.stderr,
-        )
-        return EXIT_DEGENERATE
+        return _fail("degenerate parameters (eta > 1): a single observable cannot "
+                     "reconstruct the state", EXIT_DEGENERATE)
 
     # Observable: file wins over seed.
     try:
@@ -302,7 +334,7 @@ def cmd_reconstruct(args) -> int:
             obs = analysis.random_admissible_observable(gen, args.observable_seed, tol=args.tol)
         else:
             return _fail("provide --observable FILE or --observable-seed SEED")
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot obtain observable: {exc}")
 
     simulation = args.records is None
@@ -311,8 +343,7 @@ def cmd_reconstruct(args) -> int:
         if simulation:
             if not args.rho0:
                 return _fail("simulation mode needs --rho0 FILE (or pass --records CSV)")
-            with open(args.rho0) as fh:
-                truth = matrix_from_json(json.load(fh))
+            truth = _read_matrix(args.rho0)
             if truth.shape != (n, n):
                 return _fail(f"rho0 must be {n}x{n}, got {truth.shape}")
             if np.max(np.abs(truth - truth.conj().T)) > 1e-10:
@@ -326,7 +357,7 @@ def cmd_reconstruct(args) -> int:
                 shots = int(args.shots)
                 if args.seed is None:
                     return _fail("finite shot counts require --seed for reproducibility")
-            grid = _build_grid(args.grid, gen, p_needed, args.tol)
+            grid = _build_grid(args.grid, gen, p_needed)
             records = reconstruct.simulate_records(
                 gen, obs.matrix, truth, grid, shots, seed=args.seed
             )
@@ -345,11 +376,9 @@ def cmd_reconstruct(args) -> int:
     try:
         plan_ = reconstruct.plan(gen, obs, grid, tol=args.tol)
     except matcore.ConditioningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONING
+        return _fail(str(exc), EXIT_CONDITIONING)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _fail(str(exc), EXIT_DEGENERATE)
 
     try:
         result = reconstruct.execute(plan_, records, psd_project=args.psd_project)
@@ -379,11 +408,11 @@ def cmd_reconstruct(args) -> int:
     return _emit(payload, args.output, EXIT_OK)
 
 
-def _build_grid(spec: str, gen, p: int, tol: float) -> reconstruct.TimeGrid:
+def _build_grid(spec: str, gen, p: int) -> reconstruct.TimeGrid:
     if spec == "default":
-        return reconstruct.default_time_grid(gen, p, tol=tol)
+        return reconstruct.default_time_grid(gen, p)
     instants = tuple(float(x) for x in spec.split(",") if x.strip() != "")
-    return reconstruct.TimeGrid(instants=instants, horizon=max(instants))
+    return reconstruct.TimeGrid(instants=instants, horizon=max(instants, default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +449,7 @@ def _scan_chunk(job) -> str:
     only the values the chunk touches, once each; the points are validated,
     given their closed-form eigenvalues and formatted as arrays.  Returns
     text so formatting is fixed at the worker."""
-    ranges, start, stop, gamma, tol = job
+    ranges, start, stop, gamma = job
     index, first, last = np.arange(start, stop), start, stop - 1
     points, columns = [], []
     for lo, step, count in reversed(ranges):
@@ -433,7 +462,7 @@ def _scan_chunk(job) -> str:
         index, first, last = index // count, first // count, last // count
     coeffs, _, cptp, distinct = channels._family_domain(np.stack(points[::-1], axis=1))
     values = channels._family_eigenvalues(coeffs[cptp], gamma)
-    spectra = analysis._family_spectra(values, tol)
+    spectra = analysis._family_spectra(values)
     flags = ("false,false,,,\n", "false,true,,,\n", "true,false,", "true,true,")
     tails = list(map(flags.__getitem__, (2 * cptp + distinct).tolist()))
     cells = zip(spectra.eta.tolist(), spectra.mu.tolist(), spectra.discriminant.tolist())
@@ -471,17 +500,15 @@ def cmd_scan(args) -> int:
 
     # Flat indices in lexicographic order, last axis fastest, one chunk a job.
     jobs = (
-        (ranges, start, min(start + SCAN_CHUNK, total), args.gamma, args.tol)
+        (ranges, start, min(start + SCAN_CHUNK, total), args.gamma)
         for start in range(0, total, SCAN_CHUNK)
     )
     header = ",".join(names + ("cptp_domain", "nondegenerate", "eta", "mu", "discriminant"))
+    try:  # opened before any worker starts
+        out = open(args.output, "w", newline="") if args.output else sys.stdout
+    except OSError as exc:
+        return _fail(f"cannot write output: {exc}")
     with contextlib.ExitStack() as stack:
-        out = sys.stdout
-        if args.output:
-            try:
-                out = open(args.output, "w", newline="")
-            except OSError as exc:
-                return _fail(f"cannot write output: {exc}")
         if args.workers > 1:
             import multiprocessing
 
@@ -491,16 +518,7 @@ def cmd_scan(args) -> int:
             chunks = pool.imap(_scan_chunk, jobs)  # imap keeps the chunk order
         else:
             chunks = map(_scan_chunk, jobs)
-        # Closing flushes, so a full disk can fail there too: guard the close.
-        try:
-            with out if args.output else contextlib.nullcontext():
-                out.write(header + "\n")
-                out.writelines(chunks)
-        except BrokenPipeError:
-            raise
-        except OSError as exc:
-            return _fail(f"cannot write output: {exc}")
-    return EXIT_OK
+        return _write(out, itertools.chain([header + "\n"], chunks)) or EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +626,7 @@ def main(argv=None) -> int:
         return _fail(f"--tol must be finite and positive, got {args.tol}")
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         return _fail(f"--gamma must be finite and positive, got {args.gamma}")
-    try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except BrokenPipeError:
-        return EXIT_INPUT
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small superoperators.
 
 Everything in this package runs through a handful of primitives collected
-here: column-major vectorization, Hilbert-Schmidt inner products, the
-fixed orthonormal Hermitian basis, the general spectral decomposition with
-degeneracy clustering, and the Hermitian eigendecomposition with the
-matrix-exponential action read off it.
+here: column-major vectorization, the fixed orthonormal Hermitian basis,
+the general spectral decomposition with degeneracy clustering, and the
+Hermitian eigendecomposition with the matrix-exponential action read off
+it.
 
 Conventions fixed once and for all:
 
@@ -47,7 +47,6 @@ __all__ = [
     "as_matrix",
     "vec",
     "unvec",
-    "hs_inner",
     "eig",
     "eigh",
     "propagate",
@@ -119,19 +118,6 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``Tr(a^dagger b)``.
-
-    Conjugate-linear in the first argument, like the physics convention the
-    projection formulas rely on.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))  # vdot conjugates its first argument
-
-
 @functools.cache
 def _hermitian_basis(n: int) -> np.ndarray:
     """Real-orthonormal basis of Hermitian n x n matrices under <A,B> =
@@ -181,10 +167,6 @@ class Spectrum:
     @property
     def max_geometric_multiplicity(self) -> int:
         return max(c[2] for c in self.clusters)
-
-    def distinct_values(self) -> np.ndarray:
-        """One representative per cluster (degenerate values collapsed)."""
-        return np.array([c[0] for c in self.clusters])
 
 
 def _cluster_labels(values: np.ndarray, norm=None) -> tuple[np.ndarray, np.ndarray]:

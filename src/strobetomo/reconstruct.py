@@ -89,7 +89,7 @@ class TimeGrid:
         return len(self.instants)
 
 
-def default_time_grid(gen, p: int, tol: float | None = None) -> TimeGrid:
+def default_time_grid(gen, p: int) -> TimeGrid:
     """Equispaced grid t_j = j T / p with horizon T = 1 / |lambda|_max.
 
     The horizon is one e-folding of the fastest decay mode, which keeps all
@@ -100,7 +100,7 @@ def default_time_grid(gen, p: int, tol: float | None = None) -> TimeGrid:
     if p < 1:
         raise ValueError(f"grid needs at least one instant, got p = {p}")
     values = matcore.eigh(gen)[0]
-    eta = analysis._family_spectra(values[None], tol).eta[0]
+    eta = analysis._family_spectra(values[None]).eta[0]
     if eta != 1:
         raise ValueError(f"default grid requires an optimal generator (eta = 1), got eta = {eta}")
     lam_max = float(np.max(np.abs(values)))
@@ -154,8 +154,8 @@ def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     if shots == "exact":
         return MeasurementRecord(t=t, value=expectation(q, rho), shots="exact")
     shots = int(shots)
-    if shots < 1:
-        raise ValueError(f"shot count must be >= 1, got {shots}")
+    if not 1 <= shots < 2**63:  # the sampler's counts are 64-bit
+        raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {shots}")
     evals, evecs = np.linalg.eigh((q + q.conj().T) / 2.0)
     probs = np.real(np.einsum("ij,jk,ki->i", evecs.conj().T, rho, evecs))
     if np.min(probs) < -1e-8:
@@ -182,6 +182,8 @@ class MeasurementRecord:
     shots: int | str
 
     def __post_init__(self):
+        if not (np.isfinite(self.t) and np.isfinite(self.value)):
+            raise ValueError(f"record time and value must be finite, got {self.t}, {self.value}")
         if self.shots != "exact":
             if int(self.shots) < 1:
                 raise ValueError(f"shot count must be >= 1, got {self.shots}")
@@ -256,7 +258,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     if np.max(np.abs(vec(np.eye(n)) @ gen)) > 1e-12 * np.max(np.abs(gen)):
         raise ValueError("generator must be trace-preserving (vec(I)^dagger L = 0)")
     eigensystem = matcore.eigh(gen)
-    eta = analysis._family_spectra(eigensystem[0][None], tol).eta[0]
+    eta = analysis._family_spectra(eigensystem[0][None]).eta[0]
     if eta != 1:
         raise ValueError(
             f"reconstruction from a single observable requires eta = 1, got eta = {eta}"
@@ -347,17 +349,21 @@ def execute(
     # Known coordinate of rho(0) on B_0 = I/sqrt(n), from Tr rho = 1.
     h0 = 1.0 / np.sqrt(n)
     rhs = m - plan_.forward_matrix[:, 0] * h0
-    # The plan's gate bounds the condition number, so the system is solvable.
-    solution = np.linalg.solve(plan_.reduced_matrix, rhs)
-    coords = np.concatenate([[h0], solution])
-    raw = np.tensordot(coords, matcore._hermitian_basis(n), axes=1)
+    # The plan's gate bounds the condition number, so the system is solvable;
+    # records too large for it overflow, and are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution = np.linalg.solve(plan_.reduced_matrix, rhs)
+        coords = np.concatenate([[h0], solution])
+        raw = np.tensordot(coords, matcore._hermitian_basis(n), axes=1)
 
-    residual = float(np.linalg.norm(plan_.reduced_matrix @ solution - rhs))
-    herm_defect = float(np.max(np.abs(raw - raw.conj().T)))
-    trace_defect = float(abs(np.trace(raw).real - 1.0))
+        residual = float(np.linalg.norm(plan_.reduced_matrix @ solution - rhs))
+        herm_defect = float(np.max(np.abs(raw - raw.conj().T)))
+        trace_defect = float(abs(np.trace(raw).real - 1.0))
 
-    estimate = (raw + raw.conj().T) / 2.0
-    estimate = estimate / np.trace(estimate).real
+        estimate = (raw + raw.conj().T) / 2.0
+        estimate = estimate / np.trace(estimate).real
+    if not np.all(np.isfinite(estimate)):
+        raise ValueError("the records give a state estimate that is not finite")
     min_eig = float(np.min(np.linalg.eigvalsh(estimate)))
 
     psd = _psd_projection(estimate) if psd_project else None
@@ -432,9 +438,14 @@ def records_from_csv(path_or_file) -> list[MeasurementRecord]:
             t, value, shots = row
             shots_val: int | str = "exact" if shots.strip() == "exact" else int(shots)
             out.append(MeasurementRecord(t=float(t), value=float(value), shots=shots_val))
+        if not out:
+            raise ValueError("measurement CSV holds no records")
         return out
 
-    if isinstance(path_or_file, (str, os.PathLike)):
-        with open(path_or_file, newline="") as fh:
-            return _read(fh)
-    return _read(path_or_file)
+    try:
+        if isinstance(path_or_file, (str, os.PathLike)):
+            with open(path_or_file, newline="") as fh:
+                return _read(fh)
+        return _read(path_or_file)
+    except csv.Error as exc:
+        raise ValueError(f"malformed measurement CSV: {exc}") from exc

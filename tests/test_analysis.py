@@ -32,7 +32,7 @@ from strobetomo.channels import (
     pauli,
     validate_three_level,
 )
-from strobetomo.matcore import _hermitian_basis, vec
+from strobetomo.matcore import CLUSTER_TOL, _hermitian_basis, vec
 from strobetomo.reconstruct import default_time_grid
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
@@ -235,8 +235,52 @@ def assert_matches_general_route(gen, tol):
 tols = st.sampled_from([1e-9, 1e-6])
 
 
+def chained_clusters(values):
+    """(largest cluster, number of clusters) of a real spectrum, by plain
+    adjacent-gap chaining at CLUSTER_TOL * max(diameter, max |lambda|)."""
+    v = sorted(values)
+    cut = CLUSTER_TOL * max(v[-1] - v[0], max(abs(x) for x in v))
+    sizes = [1]
+    for lo, hi in zip(v, v[1:]):
+        if hi - lo > cut:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    return max(sizes), len(sizes)
+
+
+@st.composite
+def chained_coefficients(draw):
+    """Kraus coefficients of either family in which 2 to 4 rates form a tie
+    or a chain: each neighbour sits 0 to 3 cluster cuts above the last."""
+    d = draw(st.sampled_from([3, 6]))
+    a = [draw(st.floats(0.01, 0.3)) for _ in range(d)]
+    record = TwoLevelParams if d == 3 else ThreeLevelParams
+    values = _family_eigenvalues([record(*a).coefficients], 1.0)[0]
+    # Mode k's eigenvalue is 2 (a_k - c) at unit rate, so a coefficient step
+    # of cut / 2 is an eigenvalue gap of one cut.
+    step = CLUSTER_TOL * max(values[-1] - values[0], np.abs(values).max()) / 2
+    size = draw(st.integers(2, min(4, d)))
+    chain = draw(st.permutations(range(d)))[:size]
+    gaps = st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.01, 2.0]), st.floats(0.0, 3.0))
+    for prev, k in zip(chain, chain[1:]):
+        a[k] = a[prev] + draw(gaps) * step
+    return record(*a).coefficients
+
+
 class TestFamilySpectra:
     """The batched eigvalsh kernel that analyze and scan share."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(coeffs=chained_coefficients(), gamma=gammas)
+    def test_eta_is_the_largest_cluster(self, coeffs, gamma):
+        """eta and mu are the largest cluster and the number of clusters,
+        chains of near-equal rates included; the discriminant is zero
+        exactly when a cluster merges."""
+        values = _family_eigenvalues([coeffs], gamma)
+        s = _family_spectra(values)
+        assert (s.eta[0], s.mu[0]) == chained_clusters(values[0].tolist())
+        assert (s.discriminant[0] == 0) == (s.mu[0] < values.shape[1])
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(a=lattice_two_level(), gamma=gammas, tol=tols)
@@ -254,10 +298,10 @@ class TestFamilySpectra:
     @given(points=st.lists(lattice_three_level(), min_size=1, max_size=9), gamma=gammas)
     def test_rows_do_not_depend_on_the_stack(self, points, gamma):
         coeffs = [ThreeLevelParams(*a).coefficients for a in points]
-        stack = _family_spectra(_family_eigenvalues(coeffs, gamma), None)
+        stack = _family_spectra(_family_eigenvalues(coeffs, gamma))
         for i, c in enumerate(coeffs):
-            one = _family_spectra(_family_eigenvalues([c], gamma), None)
-            for field in stack._fields[:-1]:
+            one = _family_spectra(_family_eigenvalues([c], gamma))
+            for field in stack._fields:
                 np.testing.assert_array_equal(getattr(stack, field)[i], getattr(one, field)[0])
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -294,7 +338,7 @@ class TestFamilySpectra:
         assert huge.discriminant == np.inf
 
     def test_empty_stack(self):
-        s = _family_spectra(np.zeros((0, 4)), None)
+        s = _family_spectra(np.zeros((0, 4)))
         assert s.eta.shape == s.mu.shape == s.discriminant.shape == (0,)
 
 

@@ -46,6 +46,13 @@ def count_decompositions(monkeypatch):
     return calls
 
 
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def assert_one_line_error(capsys, code):
     """Exit 1 with a single ``error:`` line on stderr and nothing on stdout."""
     captured = capsys.readouterr()
@@ -141,6 +148,24 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert payload["spectral"]["discriminant"] == ["inf", 0.0]
         assert cli._complex_to_json(complex(-np.inf, np.nan)) == ["-inf", "nan"]
+
+    def test_chain_of_four_rates_is_one_cluster(self, capsys):
+        """Four qutrit rates chained just inside the cluster cut are one
+        cluster of four, geometric = algebraic: eta 4 and mu 6, as in the
+        scan row of the same point."""
+        chain = ["0.15", "0.150000003283", "0.150000006566", "0.1", "0.12", "0.069999990151"]
+        code, payload = run_json(
+            capsys, ["analyze", "--model", "three-level", "--params", ",".join(chain)]
+        )
+        assert code == 2
+        spectral = payload["spectral"]
+        assert (spectral["eta"], spectral["mu"]) == (4, 6)
+        sizes = [(c["algebraic"], c["geometric"]) for c in spectral["clusters"]]
+        assert sizes == [(1, 1)] * 3 + [(4, 4)] + [(1, 1)] * 2
+        axes = [f"--a{k}={a}" for k, a in enumerate(chain, 1)]
+        assert main(["scan", "--model", "three-level", *axes]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[8:] == ["4", "6", "0.0"]
 
     def test_decomposes_once(self, capsys, monkeypatch):
         """The spectral and optimality blocks come from the scan's closed-form
@@ -637,9 +662,7 @@ assert main(["scan", "--model", "two-level", "--a1", axis, "--a2", axis, "--a3",
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = source_env()
     peak_kb = {}
     for hi in ("0.09", "0.46"):  # 10^3 and 47^3 = 103,823 points
         proc = subprocess.run(
@@ -702,7 +725,9 @@ class TestTolerance:
 
     @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
     def test_tol_reaches_every_rank_decision(self, capsys, tmp_path, monkeypatch, command):
-        """Every tolerance the subcommand hands to matcore is the --tol value."""
+        """Every tolerance the subcommand hands to matcore is the --tol value.
+        A scan makes no rank decision: eta and mu of a family generator are
+        its largest cluster and its cluster count, so it reads no tolerance."""
         seen = []
         rank_tol = matcore._rank_tol
 
@@ -722,7 +747,10 @@ class TestTolerance:
         }[command]
         assert main(["--tol", "1e-6", *argv]) == 0
         capsys.readouterr()
-        assert seen and set(seen) == {1e-6}
+        if command == "scan":
+            assert seen == []
+        else:
+            assert seen and set(seen) == {1e-6}
 
     def test_scan_rows_equal_analyze_at_the_same_tol(self, capsys, tmp_path):
         scan_csv = tmp_path / "scan.csv"
@@ -742,6 +770,24 @@ class TestTolerance:
             assert [int(row[5]), int(row[6]), float(row[7])] == [
                 spectral["eta"], spectral["mu"], spectral["discriminant"][0]
             ]
+
+    @pytest.mark.parametrize("model,axes", [
+        ("two-level", ["0:0.3:0.05", "0.1", "0.1:0.10000001:0.000000002"]),
+        ("three-level", ["0.15", "0.15:0.15000001:0.000000003283", "0.150000006566", "0.1",
+                         "0.12", "0.06:0.08:0.01"]),
+    ])
+    def test_scan_csv_does_not_depend_on_tol(self, tmp_path, model, axes):
+        """eta and mu of a family generator need no rank tolerance, so a
+        scan over ties and near ties writes the same bytes at any --tol."""
+        argv = ["scan", "--model", model]
+        argv += [f"--{name}={raw}" for name, raw in zip(cli.SCAN_AXES[model], axes)]
+        outputs = []
+        for tol in ([], ["--tol", "1e-6"]):
+            path = tmp_path / f"scan{len(tol)}.csv"
+            assert main([*tol, *argv, "--output", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b",2," in outputs[0]  # the grid holds ties
 
 
 class TestGamma:
@@ -912,9 +958,7 @@ class TestSchemaRoundTrips:
 
 
 def test_python_m_strobetomo_runs_the_cli():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = source_env()
     proc = subprocess.run(
         [sys.executable, "-m", "strobetomo", "analyze", "--model", "two-level",
          "--params", "0.1,0.2,0.3"],
@@ -946,12 +990,65 @@ assert main(["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.3",
              "--output", {str(tmp_path / "reconstruct.json")!r}]) == 0
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "scipy loaded"
 """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = source_env()
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads((tmp_path / "reconstruct.json").read_text())
     assert payload["frobenius_error"] < 1e-8
+
+
+def _stdout_case(command, buffered, tmp_path):
+    """argv and environment of a real process writing to stdout, with its
+    stdout block-buffered (the default) or not (PYTHONUNBUFFERED)."""
+    q = write_matrix(tmp_path / "q.json", [[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+    argv = {
+        "analyze": ["analyze", *WORKED_ARGS],
+        "check-observable": ["check-observable", *WORKED_ARGS, "--observable", q],
+        "scan": ["scan", "--model", "two-level", "--a1", "0:0.5:0.05", "--a2", "0.2",
+                 "--a3", "0.3"],
+        "large-scan": ["scan", "--model", "two-level", "--a1", "0:0.5:0.0001", "--a2", "0.2",
+                       "--a3", "0.3"],
+    }[command]
+    env = source_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return [sys.executable, "-m", "strobetomo", *argv], env
+
+
+STDOUT_COMMANDS = ["analyze", "check-observable", "scan", "large-scan"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_full_stdout_is_one_error_line(command, buffered, tmp_path):
+    """A standard output on a full disk is exit 1 and one error line in a
+    real process too, where the interpreter flushes stdout again at exit.
+    A block-buffered stdout holds a small report until that flush."""
+    argv, env = _stdout_case(command, buffered, tmp_path)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    assert proc.stderr.startswith("error: cannot write output: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_closed_pipe_is_a_silent_exit_1(command, buffered, tmp_path):
+    """A standard output whose reader has gone (``| head``) ends the run
+    with exit 1 and nothing on stderr, also at the exit-time flush."""
+    argv, env = _stdout_case(command, buffered, tmp_path)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == 1

@@ -6,7 +6,6 @@ from strobetomo.matcore import (
     NumericalFailure,
     eig,
     eigh,
-    hs_inner,
     propagate,
     unvec,
     vec,
@@ -43,26 +42,6 @@ class TestVecConventions:
             vec(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             vec(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestHsInner:
-    def test_conjugate_linear_in_first_argument(self):
-        a = np.array([[1.0, 2j], [0.0, 1.0]])
-        b = np.array([[0.5, 0.0], [1j, 2.0]])
-        assert hs_inner(2j * a, b) == pytest.approx(-2j * hs_inner(a, b))
-
-    def test_positive_on_nonzero(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        val = hs_inner(m, m)
-        assert val.real > 0
-        assert val.imag == pytest.approx(0.0, abs=1e-14)
-
-    def test_matches_trace_formula(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert hs_inner(a, b) == pytest.approx(np.trace(a.conj().T @ b))
 
 
 class TestEig:
@@ -128,10 +107,6 @@ class TestEig:
         vals = spec.eigenvalues
         assert vals[0] == pytest.approx(0.5)
         assert vals[1].imag < vals[2].imag
-
-    def test_distinct_values(self):
-        spec = eig(np.diag([1.0, 1.0, 3.0]))
-        np.testing.assert_allclose(sorted(z.real for z in spec.distinct_values()), [1.0, 3.0])
 
 
 class TestEigh:
