@@ -9,7 +9,7 @@ the regime where a single observable suffices.
 Three equivalent certificates are wired together here and cross-reported:
 
 * eta computed from clustered eigenvalues: the largest cluster for a
-  Hermitian generator, null-space ranks for any other;
+  Hermitian generator, the largest null-space rank for any other;
 * the discriminant D = prod_{i<j} (lambda_i - lambda_j)^2, nonzero exactly
   when the spectrum is simple (simple spectrum => nonderogatory => eta = 1
   for diagonalizable generators);
@@ -17,19 +17,19 @@ Three equivalent certificates are wired together here and cross-reported:
   off the same clustered eigendecomposition (for a diagonalizable
   generator, the number of distinct eigenvalues).
 
-There is one spectral route per kind of input.  Family generators are real
-symmetric, hence diagonalizable, so ``_family_spectra`` reads eta (the
-largest cluster) and mu (the cluster count) off their eigenvalues alone:
-``scan`` and ``analyze`` feed it closed-form eigenvalues
-(``channels._family_eigenvalues``, no eigensolver), the default time grid
-and the plan the values of their ``matcore.eigh``, and ``analyze`` equals
-every scan row bit for bit.  :func:`spectral_report` and
-:func:`optimality_report` take the general route (:func:`matcore.eig`:
-complex eigenvalues plus one SVD per cluster) for any square generator,
-Jordan blocks included.  On family generators they agree with the kernel to
-about 1e-12 relative on the discriminant, and on eta and mu off chains of
-near-equal rates longer than the cluster tolerance, which their nullity
-count can split (eta 2, mu 7 where the kernel reads 4, 6).
+There is one spectral route per kind of input: Hermitian input takes
+``matcore.eigh`` and the cluster kernel, and any other input takes
+``matcore.eig``.  A Hermitian generator (both family generators are real
+symmetric) is diagonalizable, so ``_family_spectra`` reads eta (the largest
+cluster) and mu (the cluster count) off its eigenvalues alone: ``scan`` and
+``analyze`` feed it closed-form eigenvalues (``channels._family_eigenvalues``,
+no eigensolver), and :func:`spectral_report`, :func:`optimality_report`,
+the default time grid and the plan the values of their ``matcore.eigh``.
+``analyze`` equals every scan row bit for bit, and the reports of a family
+generator agree with both to about 1e-12 relative on the discriminant.
+Only a non-Hermitian generator, such as a GKSL generator with a Hamiltonian
+or non-normal jumps, takes :func:`matcore.eig` (complex eigenvalues plus one
+SVD per cluster), Jordan blocks included.
 
 For a nonderogatory n^2 x n^2 generator mu equals n^2.  A widely quoted
 variant of this equivalence states mu = n^2 - 1 instead; that value is
@@ -80,7 +80,7 @@ class SpectralReport:
     (real, imaginary) part; ``eta`` is the maximum geometric multiplicity;
     ``mu`` the minimal-polynomial degree; ``discriminant`` the pairwise
     product over cluster representatives (exactly zero whenever any cluster
-    has algebraic multiplicity > 1).  On a family generator geometric =
+    has algebraic multiplicity > 1).  On a Hermitian generator geometric =
     algebraic, so eta is the largest cluster and ``tolerance`` decides nothing.
     """
 
@@ -181,9 +181,18 @@ class OptimalityReport:
 
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
     """Spectrum, index of cyclicity, min-poly degree and discriminant, all
-    from one clustered eigendecomposition (the general route, for any
-    square generator).  The discriminant is zero when any cluster merges and
-    is taken over the real parts when the spectrum is real."""
+    from one clustered eigendecomposition.  A Hermitian ``gen`` (the input
+    :func:`~strobetomo.matcore.eigh` takes) goes through ``eigh`` and the
+    cluster kernel, as ``analyze`` does; any other square generator through
+    :func:`~strobetomo.matcore.eig`.  The discriminant is zero when any
+    cluster merges and is taken over the real parts when the spectrum is
+    real."""
+    try:
+        values, _ = matcore.eigh(gen)
+    except ValueError:  # not a finite Hermitian matrix
+        pass
+    else:
+        return _family_report(values[None], tol)
     spectrum = matcore.eig(gen, tol=tol)
     values = spectrum.eigenvalues
     disc = 0.0
@@ -231,8 +240,9 @@ def _family_spectra(values) -> _FamilySpectra:
     zero when any cluster merges.  No rank tolerance enters.
 
     Each row depends on its own eigenvalues alone, so a stack of k gives
-    the bits of k separate calls.  The discriminant agrees with
-    :func:`spectral_report` to about 1e-12 relative.
+    the bits of k separate calls.  It is the kernel of every Hermitian
+    input, :func:`spectral_report`'s included; the general route
+    (:func:`matcore.eig`) serves non-Hermitian input only.
     """
     labels = matcore._cluster_labels(values)[0]
     # A cluster is a run of equal labels: eta is the longest run.

@@ -22,7 +22,9 @@ The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
 one invocation; it must be finite and positive.  It is passed explicitly to
 every span and planning call the subcommand makes; family eta and mu are
 cluster counts, so a scan's CSV is the same at any ``--tol``.  ``--gamma``
-must be finite and positive too; both are checked before any work.
+must be finite and positive too, and small enough that every family
+eigenvalue stays finite on the model's CPTP domain (``_GAMMA_SCALE``);
+both are checked before any work.
 
 ``scan`` splits its grid's flat indices (lexicographic order) into ranges
 of ``SCAN_CHUNK`` (4,096).  A chunk builds and formats only the axis
@@ -33,8 +35,9 @@ chunks over N processes with ``Pool.imap``, which keeps their order.
 ``analyze`` reads its spectral block off the same closed form and kernel,
 so a scan row equals ``analyze`` at the same point bit for bit, and the CSV
 is byte-identical whatever the chunk size or worker count.  ``reconstruct``
-reads eta off each stage's ``eigh``, so no subcommand takes the general
-``spectral_report`` route; discriminants agree with it to about 1e-12
+reads eta off each stage's ``eigh``.  Every subcommand thus takes the
+Hermitian route, the one :func:`~strobetomo.analysis.spectral_report` gives
+a Hermitian generator; discriminants agree with it to about 1e-12
 relative.  In-process :func:`main` calls share one argument parser.
 """
 
@@ -69,6 +72,13 @@ SCAN_AXES = {
     "two-level": ("a1", "a2", "a3"),
     "three-level": ("a1", "a2", "a3", "a4", "a5", "a6"),
 }
+
+#: n^2 times the largest |eigenvalue| of each family's unit-rate generator on
+#: its CPTP domain: 2 for the qubit and 3/2 for the qutrit, since mode k reads
+#: 2 (a_k - c) with 0 <= a_k <= c <= 1 or 3/4.  Every term of the closed form
+#: gamma M a has the sign of the sum, so a --gamma below the float limit over
+#: this keeps every eigenvalue, and any sum of them (a cluster mean), finite.
+_GAMMA_SCALE = {"two-level": 4 * 2.0, "three-level": 9 * 1.5}
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -358,9 +368,13 @@ def cmd_reconstruct(args) -> int:
                 if args.seed is None:
                     return _fail("finite shot counts require --seed for reproducibility")
             grid = _build_grid(args.grid, gen, p_needed)
-            records = reconstruct.simulate_records(
-                gen, obs.matrix, truth, grid, shots, seed=args.seed
-            )
+            # At instants far past 1/gamma, e^{delta t} of the stationary
+            # eigenvalue's rounding error delta overflows; propagate then raises
+            # NumericalFailure, which is reported as the one error line.
+            with np.errstate(over="ignore", invalid="ignore"):
+                records = reconstruct.simulate_records(
+                    gen, obs.matrix, truth, grid, shots, seed=args.seed
+                )
             if args.records_out:
                 reconstruct.records_to_csv(records, args.records_out)
         else:
@@ -370,7 +384,7 @@ def cmd_reconstruct(args) -> int:
                 return _fail("records CSV contains duplicate time instants")
             ordered = sorted(instants)
             grid = reconstruct.TimeGrid(instants=tuple(ordered), horizon=ordered[-1])
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, matcore.NumericalFailure) as exc:
         return _fail(str(exc))
 
     try:
@@ -626,6 +640,11 @@ def main(argv=None) -> int:
         return _fail(f"--tol must be finite and positive, got {args.tol}")
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         return _fail(f"--gamma must be finite and positive, got {args.gamma}")
+    # 1e-12 to spare covers the rounding of the closed-form sum.
+    limit = sys.float_info.max / (_GAMMA_SCALE[args.model] * (1 + 1e-12))
+    if args.gamma > limit:
+        return _fail(f"--gamma must be at most {limit:.6g} for the {args.model} model, "
+                     f"so that its eigenvalues stay finite; got {args.gamma}")
     return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 

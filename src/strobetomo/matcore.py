@@ -23,14 +23,15 @@ Conventions fixed once and for all:
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
 
-A Hermitian generator (both family generators are real symmetric) takes
-:func:`eigh` once: its eigenvalues settle eta and mu, and
+Hermitian input takes :func:`eigh`, and any other input the general
+:func:`eig`.  A Hermitian generator (both family generators are real
+symmetric) is decomposed once: its eigenvalues settle eta and mu, and
 :func:`propagate` applies ``exp(m t)`` through its eigenvectors.  Family
 generators are diagonal in ``_hermitian_basis``, so :mod:`.channels` reads
-their eigenvalues off it in closed form, with no solver.  Every
-other input takes the general :func:`eig`, which also accepts non-normal
-matrices.  Both routes cluster eigenvalues by the one rule
-``_cluster_labels``.  The module uses numpy alone.
+their eigenvalues off it in closed form, with no solver.  :func:`eig`
+serves the rest, non-normal matrices included, with null-space ranks for
+the geometric multiplicities.  Both routes cluster eigenvalues by the one
+rule ``_cluster_labels``.  The module uses numpy alone.
 """
 
 from __future__ import annotations

@@ -32,7 +32,8 @@ from strobetomo.channels import (
     pauli,
     validate_three_level,
 )
-from strobetomo.matcore import CLUSTER_TOL, _hermitian_basis, vec
+from strobetomo import matcore
+from strobetomo.matcore import CLUSTER_TOL, NumericalFailure, _hermitian_basis, vec
 from strobetomo.reconstruct import default_time_grid
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
@@ -219,17 +220,29 @@ def family_report(gen, tol):
     return _family_report(np.linalg.eigvalsh(np.asarray(gen)[None]), tol)
 
 
+def general_route(gen, tol=None):
+    """(eta, mu, discriminant) of the independent general route: the
+    clustered spectrum of ``matcore.eig``, with its nullity counts, and the
+    pairwise product over its eigenvalues (zero when a cluster merges)."""
+    spectrum = matcore.eig(gen, tol=tol)
+    values = spectrum.eigenvalues
+    values = values if values.imag.any() else values.real
+    i, j = np.triu_indices(values.size, 1)
+    disc = np.prod((values[i] - values[j]) ** 2) if len(spectrum.clusters) == values.size else 0
+    return spectrum, spectrum.max_geometric_multiplicity, spectrum.min_poly_degree, complex(disc)
+
+
 def assert_matches_general_route(gen, tol):
-    """The kernel's report equals spectral_report's: same clusters, eta and
-    mu, discriminants within 1e-12 relative (zero together)."""
+    """The kernel's report equals matcore.eig's: same clusters, eta and mu,
+    discriminants within 1e-12 relative (zero together)."""
     fast = family_report(gen, tol)
-    slow = spectral_report(gen, tol)
-    assert (fast.eta, fast.mu, fast.tolerance) == (slow.eta, slow.mu, slow.tolerance)
-    assert [c[1:] for c in fast.spectrum.clusters] == [c[1:] for c in slow.spectrum.clusters]
-    if slow.discriminant == 0:
+    spectrum, eta, mu, disc = general_route(gen, tol)
+    assert (fast.eta, fast.mu, fast.tolerance) == (eta, mu, spectrum.tolerance)
+    assert [c[1:] for c in fast.spectrum.clusters] == [c[1:] for c in spectrum.clusters]
+    if disc == 0:
         assert fast.discriminant == 0
     else:
-        assert abs(fast.discriminant - slow.discriminant) <= 1e-12 * abs(slow.discriminant)
+        assert abs(fast.discriminant - disc) <= 1e-12 * abs(disc)
 
 
 tols = st.sampled_from([1e-9, 1e-6])
@@ -323,8 +336,8 @@ class TestFamilySpectra:
 
     def test_cluster_tolerance_floors_the_rank_cut(self):
         """At a tiny rank tolerance the rounding spread of a tied pair (1e-16
-        here, from a1 = a2) still counts as two null directions, as in the
-        general route."""
+        here, from a1 = a2) still counts as two null directions in
+        matcore.eig's nullity count, as in the kernel's cluster."""
         gen = generator_three_level(ThreeLevelParams(0.1, 0.1, 0.2, 0.05, 0.08, 0.06))
         for tol in (1e-300, 1e-9):
             assert_matches_general_route(gen, tol)
@@ -395,6 +408,102 @@ class TestFamilyEigenvalues:
         assert np.abs(diagonal.imag).max() <= 1e-14
         np.testing.assert_array_equal(2 * rates, np.round(2 * rates))
         assert set(np.unique(2 * rates)) <= {0.0, -1.0, -3.0, -4.0}
+
+
+#: Four qutrit rates chained just inside the cluster cut: one cluster of four.
+CHAIN_POINT = ThreeLevelParams(0.15, 0.150000003283, 0.150000006566, 0.1, 0.12, 0.069999990151)
+
+
+def hermitian_lindblad_generators(seed, count):
+    """GKSL generators with H = 0 and one to three Hermitian jumps (Hermitian
+    generators); one jump alone gives pairs of tied rates."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.choice([2, 3]))
+        jumps = []
+        for _ in range(int(rng.integers(1, 4))):
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            jumps.append((x + x.conj().T) / 2)
+        rates = tuple(rng.uniform(0.1, 1.0, size=len(jumps)))
+        yield generator_from_lindblad(LindbladSpec(np.zeros((n, n)), tuple(jumps), rates))
+
+
+def count_spectral_calls(monkeypatch):
+    """Names of the ``matcore.eig`` and ``matcore.eigh`` calls from now on."""
+    calls = []
+    for name in ("eig", "eigh"):
+        original = getattr(matcore, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, name, counting)
+    return calls
+
+
+class TestSpectralRoute:
+    """Hermitian input takes matcore.eigh and the cluster kernel; any other
+    input takes matcore.eig."""
+
+    def test_chain_point_is_one_cluster_of_four(self):
+        """The reports read the chain as analyze and scan do (see
+        tests/test_cli.py): eta 4 and mu 6, geometric = algebraic."""
+        gen = generator_three_level(CHAIN_POINT)
+        report = spectral_report(gen)
+        assert (report.eta, report.mu, report.discriminant) == (4, 6, 0)
+        assert [c[1:] for c in report.spectrum.clusters] == [(1, 1)] * 3 + [(4, 4)] + [(1, 1)] * 2
+        opt = optimality_report(gen)
+        assert (opt.eta, opt.mu, opt.optimal, opt.criteria_agree) == (4, 6, False, True)
+        closed = _family_report(_family_eigenvalues([CHAIN_POINT.coefficients], 1.0), None)
+        assert (closed.eta, closed.mu) == (4, 6)
+
+    def test_hermitian_lindblad_generators_match_eig(self):
+        for gen in hermitian_lindblad_generators(seed=21, count=60):
+            report = spectral_report(gen)
+            _, eta, mu, disc = general_route(gen)
+            assert (report.eta, report.mu) == (eta, mu)
+            assert (report.discriminant == 0) == (disc == 0)
+
+    def test_hermitian_input_never_takes_eig(self, monkeypatch):
+        gens = [GEN_2, GEN_3, np.zeros((4, 4)), generator_three_level(CHAIN_POINT),
+                *hermitian_lindblad_generators(seed=3, count=4)]
+        calls = count_spectral_calls(monkeypatch)
+        for gen in gens:
+            spectral_report(gen)
+            optimality_report(gen)
+        assert calls == ["eigh"] * 2 * len(gens)
+
+    def test_other_input_takes_eig_once(self, monkeypatch):
+        calls = count_spectral_calls(monkeypatch)
+        report = spectral_report(jordan((-1.0, 2), (-2.0, 2)))
+        assert (report.eta, report.mu) == (1, 4)
+        assert calls.count("eig") == 1
+        spec = LindbladSpec(hamiltonian=pauli(3), jump_operators=(pauli(1),), rates=(0.5,))
+        optimality_report(generator_from_lindblad(spec))
+        assert calls.count("eig") == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_numerical_failure(self, bad):
+        gen = np.array(GEN_2)
+        gen[1, 1] = bad
+        with pytest.raises(NumericalFailure):
+            spectral_report(gen)
+        with pytest.raises(NumericalFailure):
+            optimality_report(gen)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2)])
+    def test_non_square_input_is_a_value_error(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            spectral_report(np.zeros(shape))
+        with pytest.raises(ValueError, match="square"):
+            optimality_report(np.zeros(shape))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_bad_tolerance_is_a_value_error_on_either_route(self, tol):
+        for gen in (GEN_2, jordan((-1.0, 2))):
+            with pytest.raises(ValueError, match="tolerance"):
+                spectral_report(gen, tol)
 
 
 class TestOptimalityReport:

@@ -2,19 +2,21 @@ import errno
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strobetomo import cli, matcore
+from strobetomo import analysis, channels, cli, matcore
 from strobetomo.cli import main, matrix_from_json, matrix_to_json
 
 WORKED_ARGS = ["--model", "two-level", "--params", "0.1,0.2,0.3", "--gamma", "1.0"]
@@ -152,7 +154,7 @@ class TestAnalyze:
     def test_chain_of_four_rates_is_one_cluster(self, capsys):
         """Four qutrit rates chained just inside the cluster cut are one
         cluster of four, geometric = algebraic: eta 4 and mu 6, as in the
-        scan row of the same point."""
+        scan row of the same point and the reports of its generator."""
         chain = ["0.15", "0.150000003283", "0.150000006566", "0.1", "0.12", "0.069999990151"]
         code, payload = run_json(
             capsys, ["analyze", "--model", "three-level", "--params", ",".join(chain)]
@@ -166,6 +168,9 @@ class TestAnalyze:
         assert main(["scan", "--model", "three-level", *axes]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert row[8:] == ["4", "6", "0.0"]
+        gen = channels.generator_three_level(channels.ThreeLevelParams(*map(float, chain)))
+        for report in (analysis.spectral_report(gen), analysis.optimality_report(gen)):
+            assert (report.eta, report.mu) == (4, 6)
 
     def test_decomposes_once(self, capsys, monkeypatch):
         """The spectral and optimality blocks come from the scan's closed-form
@@ -791,27 +796,73 @@ class TestTolerance:
 
 
 class TestGamma:
-    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
-    @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
-    def test_non_finite_or_non_positive_gamma_exits_1(self, capsys, monkeypatch, command, gamma):
-        """Refused before any work: no generator is built."""
+    ARGV = {
+        "analyze": ["analyze", "--model", "two-level", "--params", "0.1,0.2,0.6"],
+        "check-observable": ["check-observable", "--model", "two-level",
+                             "--params", "0.1,0.2,0.6", "--observable", "missing.json"],
+        "reconstruct": ["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.6",
+                        "--observable-seed", "5"],
+        "scan": ["scan", "--model", "two-level", "--a1", "0", "--a2", "0", "--a3", "0.9"],
+    }
+
+    def assert_refused(self, capsys, monkeypatch, command, gamma):
+        """Refused before any work, with no warning: no generator or
+        eigenvalue is built, and scan writes no header."""
 
         def no_generators(*args, **kwargs):
             raise AssertionError("a generator was built")
 
         monkeypatch.setattr(cli.channels, "_family_generator", no_generators)
         monkeypatch.setattr(cli.channels, "_family_eigenvalues", no_generators)
-        argv = {
-            "analyze": ["analyze", "--model", "two-level", "--params", "0.1,0.2,0.3"],
-            "check-observable": ["check-observable", "--model", "two-level",
-                                 "--params", "0.1,0.2,0.3", "--observable", "missing.json"],
-            "reconstruct": ["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.3",
-                            "--observable-seed", "5"],
-            "scan": ["scan", "--model", "two-level", "--a1", "0.1", "--a2", "0.2",
-                     "--a3", "0.3"],
-        }[command]
-        code = main([*argv, "--gamma", gamma])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*self.ARGV[command], "--gamma", gamma])
         assert assert_one_line_error(capsys, code).startswith("error: --gamma")
+
+    @pytest.mark.parametrize("gamma", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
+    def test_non_finite_or_non_positive_gamma_exits_1(self, capsys, monkeypatch, command, gamma):
+        self.assert_refused(capsys, monkeypatch, command, gamma)
+
+    @pytest.mark.parametrize("gamma", ["1.7e308", "2.3e307"])
+    @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
+    def test_overflowing_gamma_exits_1(self, capsys, monkeypatch, command, gamma):
+        """Above the float limit over _GAMMA_SCALE (2.25e307 for the qubit)
+        the family eigenvalues could overflow."""
+        self.assert_refused(capsys, monkeypatch, command, gamma)
+
+    @pytest.mark.parametrize("model,vertex", [
+        ("two-level", "1,0,0"), ("three-level", "0.75,0,0,0,0,0"),
+    ])
+    def test_largest_accepted_gamma_keeps_the_report_finite(self, capsys, model, vertex):
+        """At the domain vertex with the largest rates, the largest accepted
+        gamma gives finite eigenvalues and cluster values, with no warning;
+        the next float up is refused."""
+        limit = sys.float_info.max / (cli._GAMMA_SCALE[model] * (1 + 1e-12))
+        argv = ["analyze", "--model", model, "--params", vertex]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, payload = run_json(capsys, [*argv, "--gamma", repr(limit)])
+        assert code == 2
+        spectral = payload["spectral"]
+        values = spectral["eigenvalues"] + [c["value"] for c in spectral["clusters"]]
+        assert all(isinstance(x, float) for z in values for x in z)
+        assert min(z[0] for z in values) < -1e307
+        code = main([*argv, "--gamma", repr(math.nextafter(limit, math.inf))])
+        assert assert_one_line_error(capsys, code).startswith("error: --gamma")
+
+    @pytest.mark.parametrize("model,n", [("two-level", 2), ("three-level", 3)])
+    def test_gamma_scale_bounds_the_domain(self, model, n):
+        """_GAMMA_SCALE / n^2 bounds |eigenvalue| at unit rate on the CPTP
+        domain, and no term of the closed-form sum has the other sign."""
+        radius = cli._GAMMA_SCALE[model] / n**2
+        points = np.random.default_rng(5).uniform(0.0, 0.5, size=(20_000, len(cli.SCAN_AXES[model])))
+        coeffs, _, cptp, _ = channels._family_domain(points)
+        values = channels._family_eigenvalues(coeffs[cptp], 1.0)
+        assert values.shape[0] > 100
+        assert -radius <= values.min() and values.max() <= 0
+        rates = channels._PAULI_RATES if n == 2 else channels._GELLMANN_RATES
+        assert rates.max() <= 0
 
 
 @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])

@@ -1,6 +1,6 @@
 """Seeded fuzzing of the command line, in process.
 
-Whatever the parameters, scan ranges, grid, shot count and input files,
+Whatever the parameters, rate, scan ranges, grid, shot count and input files,
 every run ends in a contract exit code (0, 1, 2 or 3), stderr holds no
 traceback and no warning, and exit 1 is exactly one ``error:`` line; an
 exception escaping ``main`` fails the example with its traceback.
@@ -17,6 +17,7 @@ import errno
 import io
 import json
 import os
+import sys
 import warnings
 
 import pytest
@@ -65,6 +66,15 @@ numbers = st.one_of(
     st.integers(-(10**25), 10**25).map(str),
 )
 junk = st.text(alphabet="0123456789.,:-+eEinfatx _\t", max_size=24)
+
+#: Rates near the float limit, where gamma times an eigenvalue can overflow,
+#: and on either side of the largest rate each model accepts.
+huge_gammas = st.one_of(
+    st.floats(sys.float_info.max / 20, sys.float_info.max).map(repr),
+    st.sampled_from(["1.7e308", "2.2e307", "2.3e307", "1.3e307", "1.4e307"]),
+)
+gammas = st.sampled_from(["1", "1", "0.5", "2", "1e200", "1.3e307"])
+fuzzed_gammas = st.one_of(numbers, huge_gammas, junk)
 
 
 def number_list(min_size, max_size):
@@ -183,8 +193,8 @@ def command(draw, fields, valid, fuzzed):
 
 
 def common_fields(model):
-    valid = {"params": st.sampled_from(POINTS[model])}
-    fuzzed = {"params": fuzzed_params(model)}
+    valid = {"params": st.sampled_from(POINTS[model]), "gamma": gammas}
+    fuzzed = {"params": fuzzed_params(model), "gamma": fuzzed_gammas}
     return valid, fuzzed
 
 
@@ -210,8 +220,9 @@ def write(path, content):
 @given(model=models, raw=st.data(), full=st.booleans())
 def test_analyze(model, raw, full):
     valid, fuzzed = common_fields(model)
-    args = raw.draw(command(["params"], valid, fuzzed))
-    run(["analyze", "--model", model, f"--params={args['params']}"], full)
+    args = raw.draw(command(["params", "gamma"], valid, fuzzed))
+    run(["analyze", "--model", model, f"--params={args['params']}",
+         f"--gamma={args['gamma']}"], full)
 
 
 @FUZZ
@@ -219,10 +230,10 @@ def test_analyze(model, raw, full):
 def test_check_observable(workdir, model, raw, full):
     valid, fuzzed = common_fields(model)
     valid["observable"], fuzzed["observable"] = hermitian(DIM[model]), fuzzed_documents
-    args = raw.draw(command(["params", "observable"], valid, fuzzed))
+    args = raw.draw(command(["params", "gamma", "observable"], valid, fuzzed))
     q = write(workdir / "q.json", args["observable"])
     run(["check-observable", "--model", model, f"--params={args['params']}",
-         "--observable", q], full)
+         f"--gamma={args['gamma']}", "--observable", q], full)
 
 
 @FUZZ
@@ -244,7 +255,8 @@ def test_reconstruct(workdir, model, raw, full):
         seed=st.one_of(st.none(), junk, st.integers(-(2**70), -1).map(str)),
     )
     args = raw.draw(command(list(valid), valid, fuzzed))
-    argv = ["reconstruct", "--model", model, f"--params={args['params']}"]
+    argv = ["reconstruct", "--model", model, f"--params={args['params']}",
+            f"--gamma={args['gamma']}"]
     if args["observable"] is None:
         argv += ["--observable-seed", "3"]
     else:
@@ -277,7 +289,10 @@ def test_scan(monkeypatch, model, raw, full):
         name: st.one_of(st.just(lo), span.map(lambda t, lo=lo: f"{lo}:{float(lo) + t[0]}:{t[1]}"))
         for name, lo in zip(names, lows)
     }
-    args = raw.draw(command(list(names), valid, {name: ranges for name in names}))
+    valid["gamma"] = gammas
+    fuzzed = {name: ranges for name in names}
+    fuzzed["gamma"] = fuzzed_gammas
+    args = raw.draw(command([*names, "gamma"], valid, fuzzed))
     code, out = run(["scan", "--model", model] + [f"--{k}={v}" for k, v in args.items()], full)
     if code == 0:
         rows = out.splitlines()
@@ -292,6 +307,8 @@ def test_scan(monkeypatch, model, raw, full):
 
 QUBIT = ["--model", "two-level", "--params=0.1,0.2,0.3"]
 RHO = json.dumps({"rows": 2, "cols": 2, "data": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]})
+RHO3 = json.dumps({"rows": 3, "cols": 3, "data": [[0, 0]] * 4 + [[1, 0]] + [[0, 0]] * 4})
+Q = json.dumps({"rows": 2, "cols": 2, "data": [[0.3, 0], [0.2, 0.4], [0.2, -0.4], [-0.5, 0]]})
 HUGE_Q = json.dumps({"rows": 2, "cols": 2, "data": [[1e308, 0], [0, 0], [0, 0], [0, 0]]})
 RECORDS = "t,value,shots\n1,{},exact\n2,0,exact\n3,0,exact\n"
 
@@ -307,6 +324,17 @@ REPRODUCERS = {
                           "--a3=0.2"], {}, False, 0),
     "scan-float-limit-qutrit": (["scan", "--model", "three-level"] + [
         f"--a{k}={a}" for k, a in enumerate(["1e308"] * 5 + ["-1e308"], 1)], {}, False, 0),
+    "scan-gamma-overflow": (["scan", "--model", "two-level", "--a1=0", "--a2=0", "--a3=0.9",
+                             "--gamma=1.7e308"], {}, False, 1),
+    "analyze-gamma-overflow": (["analyze", "--model", "two-level", "--params=0.1,0.2,0.6",
+                                "--gamma=1.7e308"], {}, False, 1),
+    "observable-gamma-overflow": (["check-observable", "--model", "two-level",
+                                   "--params=0.1,0.2,0.6", "--gamma=1.7e308", "--observable",
+                                   "q.json"], {"q.json": Q}, False, 1),
+    "rho0-late-instants": (["reconstruct", "--model", "three-level",
+                            "--params=0.1,0.15,0.2,0.05,0.08,0.06", "--gamma=1e200",
+                            "--observable-seed=1", "--rho0", "rho.json",
+                            "--grid=1,2,3,4,5,6,7,8"], {"rho.json": RHO3}, False, 1),
     "observable-null-entry": (["check-observable", *QUBIT, "--observable", "q.json"], {
         "q.json": '{"rows": 2, "cols": 2, "data": [[null, 0], [0, 0], [0, 0], [0, 0]]}'},
         False, 1),
