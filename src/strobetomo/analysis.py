@@ -181,18 +181,20 @@ class OptimalityReport:
 
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
     """Spectrum, index of cyclicity, min-poly degree and discriminant, all
-    from one clustered eigendecomposition.  A Hermitian ``gen`` (the input
-    :func:`~strobetomo.matcore.eigh` takes) goes through ``eigh`` and the
-    cluster kernel, as ``analyze`` does; any other square generator through
-    :func:`~strobetomo.matcore.eig`.  The discriminant is zero when any
-    cluster merges and is taken over the real parts when the spectrum is
-    real."""
-    try:
-        values, _ = matcore.eigh(gen)
-    except ValueError:  # not a finite Hermitian matrix
-        pass
-    else:
-        return _family_report(values[None], tol)
+    from one clustered eigendecomposition.  A finite square ``gen`` that is
+    Hermitian to 1e-12 of its largest entry goes through
+    :func:`~strobetomo.matcore.eigh` of its Hermitian part and the cluster
+    kernel, as ``analyze`` does; any other square generator through
+    :func:`~strobetomo.matcore.eig`.  Both tests are relative, like eig's
+    own tolerances, so the route and the report do not depend on the
+    matrix's scale.  The discriminant is zero when any cluster merges and is
+    taken over the real parts when the spectrum is real."""
+    m = np.asarray(gen, dtype=complex)
+    if m.ndim == 2 and m.shape[0] == m.shape[1] and m.size and np.isfinite(m).all():
+        half, half_h = m / 2, m.conj().T / 2  # halves: no overflow near the float limit
+        if np.abs(half - half_h).max() <= 0.5e-12 * np.abs(m).max():
+            values, _ = matcore.eigh(half + half_h)  # exactly Hermitian
+            return _family_report(values[None], tol)
     spectrum = matcore.eig(gen, tol=tol)
     values = spectrum.eigenvalues
     disc = 0.0

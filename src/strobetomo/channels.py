@@ -418,6 +418,21 @@ def _rate_matrix(stack: np.ndarray, n: int) -> np.ndarray:
 _PAULI_RATES = _rate_matrix(_PAULI_DISSIPATORS, 2)
 _GELLMANN_RATES = _rate_matrix(_GELLMANN_DISSIPATORS, 3)
 
+#: Largest |eigenvalue| of the unit-rate qubit (n = 2) and qutrit (n = 3)
+#: generator on its CPTP domain.  Mode k of M a reads 2 (a_k - c) with
+#: 0 <= a_k <= c, where 2 = -M.min(), and c = a1+a2+a3 <= 1 for the qubit or
+#: c = 3f/4 <= 3/4 for the qutrit; the vertex a = c e_1 reaches the bound.
+_UNIT_RATE_RADIUS = {2: -_PAULI_RATES.min() * 1.0, 3: -_GELLMANN_RATES.min() * 0.75}
+
+
+def _gamma_limit(n: int) -> float:
+    """Largest gamma at which every eigenvalue of an n-level family generator
+    on the CPTP domain, and any sum of them (a cluster mean), is finite: the
+    float limit over n^2 R, R = ``_UNIT_RATE_RADIUS[n]``, with 1e-12 to spare
+    for the rounding of the closed-form sum.  Every term of gamma M a has the
+    sign of the sum, so no partial sum exceeds the result."""
+    return float(np.finfo(float).max / (n * n * _UNIT_RATE_RADIUS[n] * (1 + 1e-12)))
+
 
 def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
     """Vectorized GKSL generator for arbitrary (H, {V_i}, {gamma_i})."""

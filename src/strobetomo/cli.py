@@ -22,9 +22,9 @@ The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
 one invocation; it must be finite and positive.  It is passed explicitly to
 every span and planning call the subcommand makes; family eta and mu are
 cluster counts, so a scan's CSV is the same at any ``--tol``.  ``--gamma``
-must be finite and positive too, and small enough that every family
-eigenvalue stays finite on the model's CPTP domain (``_GAMMA_SCALE``);
-both are checked before any work.
+must be finite and positive too, and at most ``channels._gamma_limit``, so
+that every family eigenvalue stays finite on the model's CPTP domain; both
+are checked before any work.
 
 ``scan`` splits its grid's flat indices (lexicographic order) into ranges
 of ``SCAN_CHUNK`` (4,096).  A chunk builds and formats only the axis
@@ -72,13 +72,6 @@ SCAN_AXES = {
     "two-level": ("a1", "a2", "a3"),
     "three-level": ("a1", "a2", "a3", "a4", "a5", "a6"),
 }
-
-#: n^2 times the largest |eigenvalue| of each family's unit-rate generator on
-#: its CPTP domain: 2 for the qubit and 3/2 for the qutrit, since mode k reads
-#: 2 (a_k - c) with 0 <= a_k <= c <= 1 or 3/4.  Every term of the closed form
-#: gamma M a has the sign of the sum, so a --gamma below the float limit over
-#: this keeps every eigenvalue, and any sum of them (a cluster mean), finite.
-_GAMMA_SCALE = {"two-level": 4 * 2.0, "three-level": 9 * 1.5}
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -640,8 +633,7 @@ def main(argv=None) -> int:
         return _fail(f"--tol must be finite and positive, got {args.tol}")
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         return _fail(f"--gamma must be finite and positive, got {args.gamma}")
-    # 1e-12 to spare covers the rounding of the closed-form sum.
-    limit = sys.float_info.max / (_GAMMA_SCALE[args.model] * (1 + 1e-12))
+    limit = channels._gamma_limit(2 if args.model == "two-level" else 3)
     if args.gamma > limit:
         return _fail(f"--gamma must be at most {limit:.6g} for the {args.model} model, "
                      f"so that its eigenvalues stay finite; got {args.gamma}")

@@ -216,8 +216,8 @@ def eig(m, tol: float | None = None) -> Spectrum:
     take no power beyond the first.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"eig requires a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"eig requires a nonempty square matrix, got shape {m.shape}")
     tol = _rank_tol(tol)
     try:
         values = np.linalg.eigvals(m)

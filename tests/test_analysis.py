@@ -467,7 +467,7 @@ class TestSpectralRoute:
 
     def test_hermitian_input_never_takes_eig(self, monkeypatch):
         gens = [GEN_2, GEN_3, np.zeros((4, 4)), generator_three_level(CHAIN_POINT),
-                *hermitian_lindblad_generators(seed=3, count=4)]
+                1e-200 * GEN_3, 1e200 * GEN_3, *hermitian_lindblad_generators(seed=3, count=4)]
         calls = count_spectral_calls(monkeypatch)
         for gen in gens:
             spectral_report(gen)
@@ -483,6 +483,20 @@ class TestSpectralRoute:
         optimality_report(generator_from_lindblad(spec))
         assert calls.count("eig") == 2
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_route_does_not_depend_on_scale(self, monkeypatch, scale):
+        """A non-Hermitian matrix takes eig at any scale, also where its
+        asymmetry is below 1e-12 in absolute terms: a defective block, and a
+        GKSL generator with a Hamiltonian and a non-normal jump at a small
+        rate, read the same eta and mu at every scale."""
+        lowering = np.array([[0, 1], [0, 0]], dtype=complex)
+        gksl = generator_from_lindblad(LindbladSpec(scale * pauli(3), (lowering,), (scale,)))
+        calls = count_spectral_calls(monkeypatch)
+        for gen, expected in ((scale * jordan((-1.0, 2)), (1, 2)), (gksl, (1, 4))):
+            report = spectral_report(gen)
+            assert (report.eta, report.mu) == expected
+        assert calls == ["eig", "eig"]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_a_numerical_failure(self, bad):
         gen = np.array(GEN_2)
@@ -492,7 +506,7 @@ class TestSpectralRoute:
         with pytest.raises(NumericalFailure):
             optimality_report(gen)
 
-    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2), (0, 0)])
     def test_non_square_input_is_a_value_error(self, shape):
         with pytest.raises(ValueError, match="square"):
             spectral_report(np.zeros(shape))

@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 from strobetomo import matcore
 from strobetomo.channels import (
     _GELLMANN_DISSIPATORS,
+    _GELLMANN_RATES,
     _PAULI_DISSIPATORS,
+    _PAULI_RATES,
+    _UNIT_RATE_RADIUS,
     _family_domain,
+    _family_eigenvalues,
     _family_generator,
+    _gamma_limit,
     LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
@@ -469,6 +474,28 @@ class TestClosedFormSpectra:
         base = closed_form_spectrum_two_level(WORKED_2)
         scaled = closed_form_spectrum_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=2.5))
         np.testing.assert_allclose(np.sort(scaled), np.sort(base) * 2.5, atol=1e-14)
+
+
+class TestGammaLimit:
+    @pytest.mark.parametrize("n,d,box,limit", [(2, 3, 1.0, "2.24712e+307"), (3, 6, 0.75, "1.33162e+307")])
+    def test_radius_is_the_largest_eigenvalue_on_the_domain(self, n, d, box, limit):
+        """No coefficient on the CPTP domain exceeds ``box`` (1 for the qubit,
+        3/4 for the qutrit).  Seeded draws over that whole box keep every
+        unit-rate eigenvalue within _UNIT_RATE_RADIUS of 0 and come within
+        1 % of it, the vertex a1 = box reaches it exactly, and no term of the
+        closed-form sum has the other sign."""
+        radius = _UNIT_RATE_RADIUS[n]
+        points = np.random.default_rng(5).uniform(0.0, box, size=(200_000, d))
+        coeffs, _, cptp, _ = _family_domain(points)
+        values = _family_eigenvalues(coeffs[cptp], 1.0)
+        assert values.shape[0] > 500
+        assert -radius <= values.min() <= -0.99 * radius
+        assert values.max() <= 0 and (_PAULI_RATES if n == 2 else _GELLMANN_RATES).max() <= 0
+        vertex = np.zeros((1, d))
+        vertex[0, 0] = box
+        coeffs, _, cptp, _ = _family_domain(vertex)
+        assert cptp[0] and _family_eigenvalues(coeffs, 1.0).min() == -radius
+        assert f"{_gamma_limit(n):.6g}" == limit
 
 
 class TestOneParameterEmbedding:

@@ -827,8 +827,8 @@ class TestGamma:
     @pytest.mark.parametrize("gamma", ["1.7e308", "2.3e307"])
     @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
     def test_overflowing_gamma_exits_1(self, capsys, monkeypatch, command, gamma):
-        """Above the float limit over _GAMMA_SCALE (2.25e307 for the qubit)
-        the family eigenvalues could overflow."""
+        """Above channels._gamma_limit (2.25e307 for the qubit) the family
+        eigenvalues could overflow."""
         self.assert_refused(capsys, monkeypatch, command, gamma)
 
     @pytest.mark.parametrize("model,vertex", [
@@ -838,7 +838,7 @@ class TestGamma:
         """At the domain vertex with the largest rates, the largest accepted
         gamma gives finite eigenvalues and cluster values, with no warning;
         the next float up is refused."""
-        limit = sys.float_info.max / (cli._GAMMA_SCALE[model] * (1 + 1e-12))
+        limit = channels._gamma_limit(2 if model == "two-level" else 3)
         argv = ["analyze", "--model", model, "--params", vertex]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -850,19 +850,6 @@ class TestGamma:
         assert min(z[0] for z in values) < -1e307
         code = main([*argv, "--gamma", repr(math.nextafter(limit, math.inf))])
         assert assert_one_line_error(capsys, code).startswith("error: --gamma")
-
-    @pytest.mark.parametrize("model,n", [("two-level", 2), ("three-level", 3)])
-    def test_gamma_scale_bounds_the_domain(self, model, n):
-        """_GAMMA_SCALE / n^2 bounds |eigenvalue| at unit rate on the CPTP
-        domain, and no term of the closed-form sum has the other sign."""
-        radius = cli._GAMMA_SCALE[model] / n**2
-        points = np.random.default_rng(5).uniform(0.0, 0.5, size=(20_000, len(cli.SCAN_AXES[model])))
-        coeffs, _, cptp, _ = channels._family_domain(points)
-        values = channels._family_eigenvalues(coeffs[cptp], 1.0)
-        assert values.shape[0] > 100
-        assert -radius <= values.min() and values.max() <= 0
-        rates = channels._PAULI_RATES if n == 2 else channels._GELLMANN_RATES
-        assert rates.max() <= 0
 
 
 @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
