@@ -20,128 +20,24 @@ command-line interface is in :mod:`strobetomo.cli`.
 """
 
 from . import analysis, channels, cli, matcore, reconstruct
-from .analysis import (
-    ObservableSpec,
-    OptimalityReport,
-    SpanReport,
-    SpectralReport,
-    optimality_report,
-    random_admissible_observable,
-    span_check,
-    span_report,
-    spectral_report,
-    two_level_admissible,
-)
-from .channels import (
-    KrausFamily,
-    LindbladSpec,
-    ThreeLevelParams,
-    TwoLevelParams,
-    ValidityReport,
-    apply_kraus,
-    closed_form_spectrum_three_level,
-    closed_form_spectrum_two_level,
-    embed_one_param,
-    gellmann,
-    generator_from_lindblad,
-    generator_of,
-    generator_three_level,
-    generator_two_level,
-    kraus_at,
-    kraus_vs_semigroup_deviation,
-    pauli,
-    three_level_family,
-    two_level_family,
-    validate_three_level,
-    validate_two_level,
-)
-from .matcore import (
-    ConditioningError,
-    NumericalFailure,
-    Spectrum,
-    eig,
-    eigh,
-    propagate,
-    unvec,
-    vec,
-)
-from .reconstruct import (
-    MeasurementRecord,
-    ReconstructionPlan,
-    ReconstructionResult,
-    TimeGrid,
-    default_time_grid,
-    evolve,
-    execute,
-    expectation,
-    measure,
-    plan,
-    reconstruct_trajectory,
-    records_from_csv,
-    records_to_csv,
-    simulate_records,
-)
+from .analysis import *  # noqa: F403
+from .channels import *  # noqa: F403
+from .matcore import *  # noqa: F403
+from .reconstruct import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+#: The submodules, every name in their ``__all__`` (matcore's ``as_matrix``
+#: included) and the version.
 __all__ = [
     "analysis",
     "channels",
     "cli",
     "matcore",
     "reconstruct",
-    "ObservableSpec",
-    "OptimalityReport",
-    "SpanReport",
-    "SpectralReport",
-    "optimality_report",
-    "random_admissible_observable",
-    "span_check",
-    "span_report",
-    "spectral_report",
-    "two_level_admissible",
-    "KrausFamily",
-    "LindbladSpec",
-    "ThreeLevelParams",
-    "TwoLevelParams",
-    "ValidityReport",
-    "apply_kraus",
-    "closed_form_spectrum_three_level",
-    "closed_form_spectrum_two_level",
-    "embed_one_param",
-    "gellmann",
-    "generator_from_lindblad",
-    "generator_of",
-    "generator_three_level",
-    "generator_two_level",
-    "kraus_at",
-    "kraus_vs_semigroup_deviation",
-    "pauli",
-    "three_level_family",
-    "two_level_family",
-    "validate_three_level",
-    "validate_two_level",
-    "ConditioningError",
-    "NumericalFailure",
-    "Spectrum",
-    "eig",
-    "eigh",
-    "propagate",
-    "unvec",
-    "vec",
-    "MeasurementRecord",
-    "ReconstructionPlan",
-    "ReconstructionResult",
-    "TimeGrid",
-    "default_time_grid",
-    "evolve",
-    "execute",
-    "expectation",
-    "measure",
-    "plan",
-    "reconstruct_trajectory",
-    "records_from_csv",
-    "records_to_csv",
-    "simulate_records",
+    *analysis.__all__,
+    *channels.__all__,
+    *matcore.__all__,
+    *reconstruct.__all__,
     "__version__",
 ]

@@ -80,15 +80,25 @@ class SpectralReport:
     (real, imaginary) part; ``eta`` is the maximum geometric multiplicity;
     ``mu`` the minimal-polynomial degree; ``discriminant`` the pairwise
     product over cluster representatives (exactly zero whenever any cluster
-    has algebraic multiplicity > 1).  On a Hermitian generator geometric =
-    algebraic, so eta is the largest cluster and ``tolerance`` decides nothing.
+    has algebraic multiplicity > 1).  ``eta``, ``mu`` and ``tolerance`` are
+    read off ``spectrum``.  On a Hermitian generator geometric = algebraic,
+    so eta is the largest cluster and ``tolerance`` decides nothing.
     """
 
     spectrum: matcore.Spectrum
-    eta: int
-    mu: int
     discriminant: complex
-    tolerance: float
+
+    @property
+    def eta(self) -> int:
+        return self.spectrum.max_geometric_multiplicity
+
+    @property
+    def mu(self) -> int:
+        return self.spectrum.min_poly_degree
+
+    @property
+    def tolerance(self) -> float:
+        return self.spectrum.tolerance
 
     @property
     def dim(self) -> int:
@@ -105,35 +115,41 @@ class ObservableSpec:
     """A Hermitian observable, with the qubit closed-form fields when n=2.
 
     For n = 2 the parametrization is Q = [[A, C+iD], [C-iD, B]] with real
-    A, B, C, D.
+    A, B, C, D, read off ``matrix`` as ``a`` to ``d`` (None for n > 2).
+    :meth:`from_matrix` takes a matrix that is Hermitian to 1e-12 of its
+    largest entry and refuses any other.
     """
 
     matrix: np.ndarray
-    a: float | None = None
-    b: float | None = None
-    c: float | None = None
-    d: float | None = None
 
     @staticmethod
     def from_matrix(q) -> "ObservableSpec":
         q = matcore.as_matrix(q)
         if q.shape[0] != q.shape[1]:
             raise ValueError("observable must be square")
-        if np.max(np.abs(q - q.conj().T)) > 1e-12:
-            raise ValueError("observable must be Hermitian to 1e-12")
-        if q.shape == (2, 2):
-            return ObservableSpec(
-                matrix=q,
-                a=float(q[0, 0].real),
-                b=float(q[1, 1].real),
-                c=float(q[0, 1].real),
-                d=float(q[0, 1].imag),
-            )
+        if matcore._hermitian_part(q) is None:
+            raise ValueError("observable must be Hermitian to 1e-12 of its largest entry")
         return ObservableSpec(matrix=q)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def a(self) -> float | None:
+        return float(self.matrix[0, 0].real) if self.dim == 2 else None
+
+    @property
+    def b(self) -> float | None:
+        return float(self.matrix[1, 1].real) if self.dim == 2 else None
+
+    @property
+    def c(self) -> float | None:
+        return float(self.matrix[0, 1].real) if self.dim == 2 else None
+
+    @property
+    def d(self) -> float | None:
+        return float(self.matrix[0, 1].imag) if self.dim == 2 else None
 
 
 @dataclass(frozen=True)
@@ -182,31 +198,24 @@ class OptimalityReport:
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
     """Spectrum, index of cyclicity, min-poly degree and discriminant, all
     from one clustered eigendecomposition.  A finite square ``gen`` that is
-    Hermitian to 1e-12 of its largest entry goes through
-    :func:`~strobetomo.matcore.eigh` of its Hermitian part and the cluster
-    kernel, as ``analyze`` does; any other square generator through
+    Hermitian to 1e-12 of its largest entry (the one test,
+    ``matcore._hermitian_part``) goes through
+    :func:`~strobetomo.matcore.eigh` and the cluster kernel, as ``analyze``
+    does; any other square generator through
     :func:`~strobetomo.matcore.eig`.  Both tests are relative, like eig's
     own tolerances, so the route and the report do not depend on the
     matrix's scale.  The discriminant is zero when any cluster merges and is
     taken over the real parts when the spectrum is real."""
     m = np.asarray(gen, dtype=complex)
     if m.ndim == 2 and m.shape[0] == m.shape[1] and m.size and np.isfinite(m).all():
-        half, half_h = m / 2, m.conj().T / 2  # halves: no overflow near the float limit
-        if np.abs(half - half_h).max() <= 0.5e-12 * np.abs(m).max():
-            values, _ = matcore.eigh(half + half_h)  # exactly Hermitian
-            return _family_report(values[None], tol)
+        if matcore._hermitian_part(m) is not None:
+            return _family_report(matcore.eigh(m)[0][None], tol)
     spectrum = matcore.eig(gen, tol=tol)
     values = spectrum.eigenvalues
     disc = 0.0
     if len(spectrum.clusters) == spectrum.dim:
         disc = _discriminant(values if values.imag.any() else values.real)
-    return SpectralReport(
-        spectrum=spectrum,
-        eta=spectrum.max_geometric_multiplicity,
-        mu=spectrum.min_poly_degree,
-        discriminant=complex(disc),
-        tolerance=spectrum.tolerance,
-    )
+    return SpectralReport(spectrum=spectrum, discriminant=complex(disc))
 
 
 def _discriminant(values):
@@ -272,13 +281,7 @@ def _family_report(values, tol: float | None) -> SpectralReport:
         tolerance=tol,
         min_poly_degree=int(s.mu[0]),
     )
-    return SpectralReport(
-        spectrum=spectrum,
-        eta=int(s.eta[0]),
-        mu=int(s.mu[0]),
-        discriminant=complex(s.discriminant[0]),
-        tolerance=tol,
-    )
+    return SpectralReport(spectrum=spectrum, discriminant=complex(s.discriminant[0]))
 
 
 def optimality_report(gen, tol: float | None = None) -> OptimalityReport:

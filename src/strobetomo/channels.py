@@ -48,6 +48,7 @@ The sign/ordering of the Hamiltonian term is forced by requiring
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -118,7 +119,15 @@ def gellmann(i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoLevelParams:
-    """Qubit family parameters (a1, a2, a3) with decoherence rate gamma."""
+    """Qubit family parameters (a1, a2, a3) with decoherence rate gamma.
+
+    Each parameter class holds its model's facts as class variables: the
+    CLI name, the state dimension n and the free parameters (scan axes).
+    """
+
+    model: ClassVar[str] = "two-level"
+    dim: ClassVar[int] = 2
+    axes: ClassVar[tuple[str, ...]] = ("a1", "a2", "a3")
 
     a1: float
     a2: float
@@ -135,11 +144,20 @@ class TwoLevelParams:
     def coefficients(self) -> tuple[float, float, float]:
         return (self.a1, self.a2, self.a3)
 
+    @property
+    def completeness_factor(self) -> float:
+        """a1+a2+a3; must satisfy <= 1."""
+        return self.a1 + self.a2 + self.a3
+
 
 @dataclass(frozen=True)
 class ThreeLevelParams:
     """Qutrit family parameters (a1..a6) with the two dependent
     coefficients a7, a8 derived from the channel conditions."""
+
+    model: ClassVar[str] = "three-level"
+    dim: ClassVar[int] = 3
+    axes: ClassVar[tuple[str, ...]] = ("a1", "a2", "a3", "a4", "a5", "a6")
 
     a1: float
     a2: float
@@ -177,7 +195,8 @@ class ThreeLevelParams:
 
 @dataclass(frozen=True)
 class LindbladSpec:
-    """Generic GKSL data: Hamiltonian, jump operators and nonnegative rates."""
+    """Generic GKSL data: a Hamiltonian (Hermitian to 1e-12 of its largest
+    entry), jump operators and nonnegative rates."""
 
     hamiltonian: np.ndarray
     jump_operators: tuple[np.ndarray, ...]
@@ -187,8 +206,8 @@ class LindbladSpec:
         h = matcore.as_matrix(self.hamiltonian)
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise ValueError("Hamiltonian must be Hermitian to 1e-12")
+        if matcore._hermitian_part(h) is None:
+            raise ValueError("Hamiltonian must be Hermitian to 1e-12 of its largest entry")
         jumps = tuple(matcore.as_matrix(v) for v in self.jump_operators)
         rates = tuple(float(r) for r in self.rates)
         if len(jumps) != len(rates):
@@ -316,18 +335,44 @@ def validate_three_level(p: ThreeLevelParams) -> ValidityReport:
     )
 
 
+def _validate(p: TwoLevelParams | ThreeLevelParams) -> ValidityReport:
+    """:func:`validate_two_level` or :func:`validate_three_level`, by the
+    dimension of ``p``'s model."""
+    return (validate_two_level if p.dim == 2 else validate_three_level)(p)
+
+
+def _on_domain(p):
+    """``p`` when it lies on its model's CPTP domain; ValueError listing the
+    violations otherwise."""
+    report = _validate(p)
+    if not report.cptp_domain:
+        raise ValueError("; ".join(report.violations))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Kraus families
 # ---------------------------------------------------------------------------
 
 
+#: Operator basis of the n-level family's Kraus set: Pauli or Gell-Mann.
+_BASES = {2: _PAULI, 3: _GELLMANN}
+
+
 @dataclass(frozen=True)
 class KrausFamily:
-    """A time-parametrized Kraus set tied to one of the supported models."""
+    """A time-parametrized Kraus set tied to one of the supported models;
+    ``model`` and ``dim`` are those of its parameter class."""
 
-    model: str  # "two-level" | "three-level"
     params: TwoLevelParams | ThreeLevelParams
-    dim: int
+
+    @property
+    def model(self) -> str:
+        return self.params.model
+
+    @property
+    def dim(self) -> int:
+        return self.params.dim
 
     @property
     def gamma(self) -> float:
@@ -335,17 +380,11 @@ class KrausFamily:
 
 
 def two_level_family(p: TwoLevelParams) -> KrausFamily:
-    report = validate_two_level(p)
-    if not report.cptp_domain:
-        raise ValueError("; ".join(report.violations) or "invalid two-level parameters")
-    return KrausFamily(model="two-level", params=p, dim=2)
+    return KrausFamily(_on_domain(p))
 
 
 def three_level_family(p: ThreeLevelParams) -> KrausFamily:
-    report = validate_three_level(p)
-    if not report.cptp_domain:
-        raise ValueError("; ".join(report.violations) or "invalid three-level parameters")
-    return KrausFamily(model="three-level", params=p, dim=3)
+    return KrausFamily(_on_domain(p))
 
 
 def kraus_at(family: KrausFamily, t: float) -> list[np.ndarray]:
@@ -357,19 +396,10 @@ def kraus_at(family: KrausFamily, t: float) -> list[np.ndarray]:
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     p = family.params
-    if family.model == "two-level":
-        decay = 1.0 - np.exp(-p.gamma * t)
-        s = p.a1 + p.a2 + p.a3
-        ops = [np.sqrt(1.0 - s * decay) * np.eye(2, dtype=complex)]
-        ops += [np.sqrt(a * decay) * pauli(i + 1) for i, a in enumerate(p.coefficients)]
-        return ops
-    if family.model == "three-level":
-        decay = 1.0 - np.exp(-p.gamma * t)
-        f = p.completeness_factor
-        ops = [np.sqrt(1.0 - f * decay) * np.eye(3, dtype=complex)]
-        ops += [np.sqrt(a * decay) * gellmann(i + 1) for i, a in enumerate(p.coefficients)]
-        return ops
-    raise ValueError(f"kraus_at is not defined for model {family.model!r}")
+    decay = 1.0 - np.exp(-p.gamma * t)
+    ops = [np.sqrt(1.0 - p.completeness_factor * decay) * np.eye(p.dim, dtype=complex)]
+    ops += [np.sqrt(a * decay) * b for a, b in zip(p.coefficients, _BASES[p.dim])]
+    return ops
 
 
 def apply_kraus(family: KrausFamily, t: float, rho) -> np.ndarray:
@@ -477,10 +507,7 @@ def generator_two_level(p: TwoLevelParams) -> np.ndarray:
     gamma (a1 s1 (x) s1 + a2 s2^T (x) s2 + a3 s3 (x) s3 - (a1+a2+a3) I4).
     Raises ValueError outside the CPTP domain.
     """
-    report = validate_two_level(p)
-    if not report.cptp_domain:
-        raise ValueError("; ".join(report.violations))
-    return _family_generator(p)
+    return _family_generator(_on_domain(p))
 
 
 def generator_three_level(p: ThreeLevelParams) -> np.ndarray:
@@ -492,19 +519,13 @@ def generator_three_level(p: ThreeLevelParams) -> np.ndarray:
     error-prone, so that display is demoted to a test cross-check.
     Raises ValueError outside the CPTP domain.
     """
-    report = validate_three_level(p)
-    if not report.cptp_domain:
-        raise ValueError("; ".join(report.violations))
-    return _family_generator(p)
+    return _family_generator(_on_domain(p))
 
 
 def generator_of(family: KrausFamily) -> np.ndarray:
-    """Generator matrix for any supported family."""
-    if family.model == "two-level":
-        return generator_two_level(family.params)
-    if family.model == "three-level":
-        return generator_three_level(family.params)
-    raise ValueError(f"unknown model {family.model!r}")
+    """Generator matrix for any supported family; ValueError outside the
+    CPTP domain."""
+    return _family_generator(_on_domain(family.params))
 
 
 def closed_form_spectrum_two_level(p: TwoLevelParams) -> np.ndarray:

@@ -67,11 +67,12 @@ SCAN_POINT_CAP = 10_000_000
 #: Grid points a scan validates, decomposes and writes as one batch.
 SCAN_CHUNK = 4096
 
-#: Scan axes of each model, in CSV column order.
-SCAN_AXES = {
-    "two-level": ("a1", "a2", "a3"),
-    "three-level": ("a1", "a2", "a3", "a4", "a5", "a6"),
-}
+#: Parameter class of each ``--model``; the class holds the model's facts
+#: (its ``dim`` and its ``axes``, the free parameters in CSV column order).
+MODELS = {cls.model: cls for cls in (channels.TwoLevelParams, channels.ThreeLevelParams)}
+
+#: Every scan axis, of any model, in CSV column order.
+_ALL_AXES = tuple(dict.fromkeys(name for cls in MODELS.values() for name in cls.axes))
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -170,31 +171,16 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
 
 
 def _parse_params(model: str, raw: str, gamma: float):
+    cls = MODELS[model]
     values = [float(x) for x in raw.split(",") if x.strip() != ""]
-    if model == "two-level":
-        if len(values) != 3:
-            raise ValueError(f"two-level model takes 3 parameters, got {len(values)}")
-        return channels.TwoLevelParams(*values, gamma=gamma)
-    if model == "three-level":
-        if len(values) != 6:
-            raise ValueError(f"three-level model takes 6 parameters, got {len(values)}")
-        return channels.ThreeLevelParams(*values, gamma=gamma)
-    raise ValueError(f"unknown model {model!r}")
+    if len(values) != len(cls.axes):
+        raise ValueError(f"{model} model takes {len(cls.axes)} parameters, got {len(values)}")
+    return cls(*values, gamma=gamma)
 
 
-def _validity(model: str, params) -> channels.ValidityReport:
-    if model == "two-level":
-        return channels.validate_two_level(params)
-    return channels.validate_three_level(params)
-
-
-def _params_json(model: str, params) -> dict:
-    if model == "two-level":
-        return {"a1": params.a1, "a2": params.a2, "a3": params.a3}
-    out = {f"a{i}": getattr(params, f"a{i}") for i in range(1, 7)}
-    out["a7"] = params.a7
-    out["a8"] = params.a8
-    return out
+def _params_json(params) -> dict:
+    """Every Kraus coefficient, a1 on, the qutrit's derived a7 and a8 included."""
+    return {f"a{i}": a for i, a in enumerate(params.coefficients, 1)}
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -207,11 +193,13 @@ def _read_matrix(path: str) -> np.ndarray:
     return matrix_from_json(obj)
 
 
-def _load_observable(path: str, model: str) -> analysis.ObservableSpec:
+def _load_observable(path: str, params) -> analysis.ObservableSpec:
     obs = analysis.ObservableSpec.from_matrix(_read_matrix(path))
-    n = 2 if model == "two-level" else 3
+    n = params.dim
     if obs.dim != n:
-        raise ValueError(f"the {model} model needs a {n}x{n} observable, got {obs.dim}x{obs.dim}")
+        raise ValueError(
+            f"the {params.model} model needs a {n}x{n} observable, got {obs.dim}x{obs.dim}"
+        )
     return obs
 
 
@@ -225,7 +213,7 @@ def cmd_analyze(args) -> int:
         params = _parse_params(args.model, args.params, args.gamma)
     except ValueError as exc:
         return _fail(str(exc))
-    validity = _validity(args.model, params)
+    validity = channels._validate(params)
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
 
@@ -237,7 +225,7 @@ def cmd_analyze(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "model": args.model,
         "gamma": args.gamma,
-        "params": _params_json(args.model, params),
+        "params": _params_json(params),
         "validity": {
             "cptp_domain": validity.cptp_domain,
             "nondegenerate": validity.nondegenerate,
@@ -278,11 +266,11 @@ def cmd_check_observable(args) -> int:
         params = _parse_params(args.model, args.params, args.gamma)
     except ValueError as exc:
         return _fail(str(exc))
-    validity = _validity(args.model, params)
+    validity = channels._validate(params)
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
     try:
-        obs = _load_observable(args.observable, args.model)
+        obs = _load_observable(args.observable, params)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load observable: {exc}")
 
@@ -318,11 +306,11 @@ def cmd_reconstruct(args) -> int:
         params = _parse_params(args.model, args.params, args.gamma)
     except ValueError as exc:
         return _fail(str(exc))
-    validity = _validity(args.model, params)
+    validity = channels._validate(params)
     if not validity.cptp_domain:
         return _fail("; ".join(validity.violations))
     gen = channels._family_generator(params)
-    n = 2 if args.model == "two-level" else 3
+    n = params.dim
     p_needed = n * n - 1
 
     if not validity.nondegenerate:
@@ -332,7 +320,7 @@ def cmd_reconstruct(args) -> int:
     # Observable: file wins over seed.
     try:
         if args.observable:
-            obs = _load_observable(args.observable, args.model)
+            obs = _load_observable(args.observable, params)
         elif args.observable_seed is not None:
             obs = analysis.random_admissible_observable(gen, args.observable_seed, tol=args.tol)
         else:
@@ -361,13 +349,9 @@ def cmd_reconstruct(args) -> int:
                 if args.seed is None:
                     return _fail("finite shot counts require --seed for reproducibility")
             grid = _build_grid(args.grid, gen, p_needed)
-            # At instants far past 1/gamma, e^{delta t} of the stationary
-            # eigenvalue's rounding error delta overflows; propagate then raises
-            # NumericalFailure, which is reported as the one error line.
-            with np.errstate(over="ignore", invalid="ignore"):
-                records = reconstruct.simulate_records(
-                    gen, obs.matrix, truth, grid, shots, seed=args.seed
-                )
+            records = reconstruct.simulate_records(
+                gen, obs.matrix, truth, grid, shots, seed=args.seed
+            )
             if args.records_out:
                 reconstruct.records_to_csv(records, args.records_out)
         else:
@@ -396,7 +380,7 @@ def cmd_reconstruct(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "model": args.model,
         "gamma": args.gamma,
-        "params": _params_json(args.model, params),
+        "params": _params_json(params),
         "grid": {"instants": list(plan_.grid.instants), "horizon": plan_.grid.horizon},
         "observable": matrix_to_json(obs.matrix),
         "shots": ("external" if not simulation else shots),
@@ -484,9 +468,9 @@ def cmd_scan(args) -> int:
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
             return _fail(f"--workers must be between 1 and {cpus}, got {args.workers}")
-    names = SCAN_AXES[model]
-    stray = [f"--{name}" for name in SCAN_AXES["three-level"][len(names):]
-             if getattr(args, name) is not None]
+    names = MODELS[model].axes
+    stray = [f"--{name}" for name in _ALL_AXES
+             if name not in names and getattr(args, name) is not None]
     if stray:
         return _fail(f"not an axis of the {model} model: {', '.join(stray)}")
     try:
@@ -534,11 +518,10 @@ def cmd_scan(args) -> int:
 
 
 def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", required=True, choices=["two-level", "three-level"])
+    sub.add_argument("--model", required=True, choices=list(MODELS))
+    counts = ", ".join(f"{len(cls.axes)} for {model}" for model, cls in MODELS.items())
     sub.add_argument(
-        "--params",
-        required=True,
-        help="comma-separated a-coefficients (3 for two-level, 6 for three-level)",
+        "--params", required=True, help=f"comma-separated a-coefficients ({counts})"
     )
     sub.add_argument("--gamma", type=float, default=1.0, help="decoherence rate (default 1)")
 
@@ -612,8 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--output", help="write the JSON result here instead of stdout")
 
     p_scan = subs.add_parser("scan", help="sweep parameter grids to CSV")
-    p_scan.add_argument("--model", required=True, choices=["two-level", "three-level"])
-    for name in SCAN_AXES["three-level"]:
+    p_scan.add_argument("--model", required=True, choices=list(MODELS))
+    for name in _ALL_AXES:
         p_scan.add_argument(f"--{name}", help=f"{name} value or lo:hi:step range")
     p_scan.add_argument("--gamma", type=float, default=1.0)
     p_scan.add_argument(
@@ -633,7 +616,7 @@ def main(argv=None) -> int:
         return _fail(f"--tol must be finite and positive, got {args.tol}")
     if not (math.isfinite(args.gamma) and args.gamma > 0):
         return _fail(f"--gamma must be finite and positive, got {args.gamma}")
-    limit = channels._gamma_limit(2 if args.model == "two-level" else 3)
+    limit = channels._gamma_limit(MODELS[args.model].dim)
     if args.gamma > limit:
         return _fail(f"--gamma must be at most {limit:.6g} for the {args.model} model, "
                      f"so that its eigenvalues stay finite; got {args.gamma}")

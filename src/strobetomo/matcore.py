@@ -23,8 +23,9 @@ Conventions fixed once and for all:
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
 
-Hermitian input takes :func:`eigh`, and any other input the general
-:func:`eig`.  A Hermitian generator (both family generators are real
+Input that is Hermitian to 1e-12 of its largest entry (``_hermitian_part``,
+the package's one Hermitian test) takes :func:`eigh`, and any other input
+the general :func:`eig`.  A Hermitian generator (both family generators are real
 symmetric) is decomposed once: its eigenvalues settle eta and mu, and
 :func:`propagate` applies ``exp(m t)`` through its eigenvectors.  Family
 generators are diagonal in ``_hermitian_basis``, so :mod:`.channels` reads
@@ -252,19 +253,35 @@ def eig(m, tol: float | None = None) -> Spectrum:
     )
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray | None:
+    """The exactly Hermitian part m/2 + m^dagger/2 of a finite square ``m``
+    that is Hermitian to 1e-12 of its largest entry, or None.  Relative, so
+    a matrix and its multiples pass or fail together; an exactly Hermitian
+    ``m`` (a family generator) comes back as it is."""
+    m_h = m.conj().T
+    if np.array_equal(m, m_h):
+        return m
+    half, half_h = m / 2, m_h / 2  # halves: no overflow near the float limit
+    if np.abs(half - half_h).max() <= 0.5e-12 * np.abs(m).max():
+        return half + half_h
+    return None
+
+
 def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of a
     Hermitian matrix, ``m = V diag(values) V^dagger``.
 
     Both family generators are Hermitian (real symmetric), so this one
-    decomposition is complete and well conditioned for them; a matrix that
-    is not Hermitian to 1e-12 is rejected.
+    decomposition is complete and well conditioned for them.  A matrix that
+    is not Hermitian to 1e-12 of its largest entry is rejected; one that is
+    has its exactly Hermitian part decomposed.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigh requires a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
-        raise ValueError("eigh requires a Hermitian matrix (to 1e-12)")
+    m = _hermitian_part(m)
+    if m is None:
+        raise ValueError("eigh requires a Hermitian matrix (to 1e-12 of its largest entry)")
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

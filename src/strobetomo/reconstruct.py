@@ -123,10 +123,20 @@ def evolve(gen, rho0, t: float) -> np.ndarray:
 
 
 def _trajectory(eigensystem, rho0, times) -> list[np.ndarray]:
-    """rho(t) for every t in ``times``, from the generator's ``matcore.eigh``."""
+    """rho(t) for every t in ``times``, from the generator's ``matcore.eigh``.
+
+    A generator has no growing mode: an eigenvalue above 0 by at most
+    1e-12 max|lambda| is rounding and evolves as 0, so late instants stay
+    finite; a larger one is refused with ValueError.
+    """
+    values, vectors = eigensystem
+    if values[-1] > 1e-12 * np.abs(values).max():
+        raise ValueError(f"generator has a growing mode (eigenvalue {values[-1]:.3e} > 0)")
     rho0 = matcore.as_matrix(rho0)
     n = rho0.shape[0]
-    return [unvec(v, n, n) for v in matcore.propagate(eigensystem, vec(rho0), times)]
+    with np.errstate(over="ignore"):  # lambda t past -1.8e308 is -inf, whose exponential is 0
+        states = matcore.propagate((np.minimum(values, 0.0), vectors), vec(rho0), times)
+    return [unvec(v, n, n) for v in states]
 
 
 def expectation(q, rho) -> float:
@@ -219,16 +229,20 @@ class ReconstructionPlan:
 
     ``forward_matrix`` is the p x n^2 matrix whose row j holds the
     coordinates of exp(L* t_j)[Q] in the fixed Hermitian basis (column 0
-    is the I/sqrt(n) coordinate); ``reduced_matrix`` is its p x p block
-    acting on the unknown coordinates, the known trace column removed.
+    is the I/sqrt(n) coordinate, Tr Q / sqrt(n) in every row); the plan
+    holds its p x p block ``reduced_matrix``, which acts on the unknown
+    coordinates, and puts the known trace column back in front on demand.
     """
 
     observable: analysis.ObservableSpec
     grid: TimeGrid
     reduced_matrix: np.ndarray
-    forward_matrix: np.ndarray
     condition_reduced: float
-    tolerance: float
+
+    @property
+    def forward_matrix(self) -> np.ndarray:
+        trace = np.trace(self.observable.matrix).real / np.sqrt(self.dim)
+        return np.hstack([np.full((self.p, 1), trace), self.reduced_matrix])
 
     @property
     def dim(self) -> int:
@@ -284,8 +298,6 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     coords = vectors.conj().T @ vec(obs.matrix)
     modes = np.exp(np.outer(grid.instants, values[decaying])) * coords[decaying]
     reduced = (modes @ overlaps[1:, decaying].T).real
-    trace_column = np.full((grid.p, 1), np.trace(obs.matrix).real / np.sqrt(n))
-    forward = np.hstack([trace_column, reduced])
     cond_reduced = float(np.linalg.cond(reduced))
     if cond_reduced >= CONDITION_LIMIT:
         raise ConditioningError(
@@ -296,12 +308,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
             matrix_name="reduced coefficient matrix",
         )
     return ReconstructionPlan(
-        observable=obs,
-        grid=grid,
-        reduced_matrix=reduced,
-        forward_matrix=forward,
-        condition_reduced=cond_reduced,
-        tolerance=matcore._rank_tol(tol),
+        observable=obs, grid=grid, reduced_matrix=reduced, condition_reduced=cond_reduced
     )
 
 

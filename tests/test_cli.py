@@ -229,6 +229,11 @@ class TestCheckObservable:
         code = main(["check-observable", "--model", model, "--params", params, "--observable", q])
         assert f"needs a {n}x{n} observable, got {dim}x{dim}" in assert_one_line_error(capsys, code)
 
+    def test_non_hermitian_at_its_own_scale_exits_1(self, capsys, tmp_path):
+        q = write_matrix(tmp_path / "q.json", 1e-13 * np.array([[1.0, 1.0], [0.0, -1.0]]))
+        code = main(["check-observable", *WORKED_ARGS, "--observable", q])
+        assert "Hermitian" in assert_one_line_error(capsys, code)
+
 
 class TestReconstruct:
     RHO = [[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]]
@@ -408,7 +413,7 @@ class TestScan:
     ])
     def test_off_domain_tie_with_zero_is_degenerate(self, capsys, model, point):
         """Distinct coefficients, but a mode at the stationary eigenvalue 0."""
-        axes = [f"--{name}={value}" for name, value in zip(cli.SCAN_AXES[model], point)]
+        axes = [f"--{name}={value}" for name, value in zip(cli.MODELS[model].axes, point)]
         assert main(["scan", "--model", model, *axes]) == 0
         row = capsys.readouterr().out.splitlines()[1]
         assert row == ",".join(point) + ",false,false,,,"
@@ -785,7 +790,7 @@ class TestTolerance:
         """eta and mu of a family generator need no rank tolerance, so a
         scan over ties and near ties writes the same bytes at any --tol."""
         argv = ["scan", "--model", model]
-        argv += [f"--{name}={raw}" for name, raw in zip(cli.SCAN_AXES[model], axes)]
+        argv += [f"--{name}={raw}" for name, raw in zip(cli.MODELS[model].axes, axes)]
         outputs = []
         for tol in ([], ["--tol", "1e-6"]):
             path = tmp_path / f"scan{len(tol)}.csv"

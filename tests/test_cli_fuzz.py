@@ -82,7 +82,7 @@ def number_list(min_size, max_size):
 
 
 def fuzzed_params(model):
-    d = len(cli.SCAN_AXES[model])
+    d = len(cli.MODELS[model].axes)
     return st.one_of(number_list(d, d), number_list(0, 8), junk)
 
 
@@ -282,7 +282,7 @@ ranges = st.one_of(
 @given(model=models, raw=st.data(), full=st.booleans())
 def test_scan(monkeypatch, model, raw, full):
     monkeypatch.setattr(cli, "SCAN_POINT_CAP", FUZZ_SCAN_CAP)
-    names = cli.SCAN_AXES[model]
+    names = cli.MODELS[model].axes
     lows = raw.draw(st.sampled_from(POINTS[model])).split(",")
     span = st.tuples(st.floats(0.0, 0.05), st.floats(1e-3, 0.05))
     valid = {
@@ -334,7 +334,7 @@ REPRODUCERS = {
     "rho0-late-instants": (["reconstruct", "--model", "three-level",
                             "--params=0.1,0.15,0.2,0.05,0.08,0.06", "--gamma=1e200",
                             "--observable-seed=1", "--rho0", "rho.json",
-                            "--grid=1,2,3,4,5,6,7,8"], {"rho.json": RHO3}, False, 1),
+                            "--grid=1,2,3,4,5,6,7,8"], {"rho.json": RHO3}, False, 3),
     "observable-null-entry": (["check-observable", *QUBIT, "--observable", "q.json"], {
         "q.json": '{"rows": 2, "cols": 2, "data": [[null, 0], [0, 0], [0, 0], [0, 0]]}'},
         False, 1),

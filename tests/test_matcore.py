@@ -124,7 +124,8 @@ class TestEigh:
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1e-11], [0.0, 0.0]]))
-        eigh(np.array([[0.0, 1e-13], [0.0, 0.0]]))  # Hermitian to 1e-12
+        with pytest.raises(ValueError, match="Hermitian"):  # not Hermitian at its own scale
+            eigh(np.array([[0.0, 1e-13], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="square"):
             eigh(np.ones((2, 3)))
 

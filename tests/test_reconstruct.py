@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ class TestEvolveAndMeasure:
         rho = np.eye(2) / 2
         for t in (0.5, 3.0, 20.0):
             np.testing.assert_allclose(evolve(GEN_2, rho, t), rho, atol=1e-13)
+
+    def test_late_instants_reach_the_stationary_state(self):
+        """At gamma 1e200 eigh puts the stationary eigenvalue at about +1e183;
+        read as the 0 it rounds, exp(L t) stays finite and gives I/3."""
+        gen = generator_three_level(ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.06, gamma=1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = evolve(gen, np.diag([0.0, 1.0, 0.0]), 1.0)
+        np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-12)
+
+    def test_growing_mode_is_refused(self):
+        with pytest.raises(ValueError, match="growing mode"):
+            evolve(-GEN_2, RHO_2, 1.0)
 
     def test_expectation_real_for_hermitian(self):
         rho = random_density(np.random.default_rng(31), 2)
