@@ -174,7 +174,7 @@ class SpanReport:
 
 @dataclass(frozen=True)
 class OptimalityReport:
-    """Cross-checked optimality certificates for a generator.
+    """Cross-checked optimality certificates, all read off ``report``.
 
     ``optimal`` is the operative verdict (eta = 1).  ``mu`` is the sum of
     the eigenvalue indices; ``mu_nonderogatory`` (= n^2) is the value
@@ -184,15 +184,60 @@ class OptimalityReport:
     out in ``notes``.
     """
 
-    eta: int
-    mu: int
-    mu_nonderogatory: int
-    mu_alternative_claim: int
-    discriminant: complex
-    discriminant_nonzero: bool
-    optimal: bool
-    criteria_agree: bool
-    notes: tuple[str, ...]
+    report: SpectralReport
+
+    @property
+    def eta(self) -> int:
+        return self.report.eta
+
+    @property
+    def mu(self) -> int:
+        return self.report.mu
+
+    @property
+    def discriminant(self) -> complex:
+        return self.report.discriminant
+
+    @property
+    def optimal(self) -> bool:
+        return self.report.optimal
+
+    @property
+    def mu_nonderogatory(self) -> int:
+        return self.report.dim
+
+    @property
+    def mu_alternative_claim(self) -> int:
+        return self.report.dim - 1
+
+    @property
+    def discriminant_nonzero(self) -> bool:
+        return all(alg == 1 for _, alg, _ in self.report.spectrum.clusters)  # no merged cluster
+
+    @property
+    def criteria_agree(self) -> bool:
+        return self.optimal == self.discriminant_nonzero and (
+            not self.optimal or self.mu == self.mu_nonderogatory
+        )
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        mu, dim = self.mu, self.mu_nonderogatory
+        notes = []
+        if self.optimal != self.discriminant_nonzero:
+            notes.append(
+                f"eta = {self.eta} and discriminant {self.discriminant} disagree; "
+                "for a diagonalizable generator they must coincide"
+            )
+        if self.optimal and mu != dim:
+            notes.append(f"measured mu = {mu} differs from the nonderogatory value n^2 = {dim}")
+        if self.optimal and mu == dim:
+            notes.append(
+                f"measured mu = {mu} equals n^2 = {dim}, not the alternative "
+                f"reference value n^2 - 1 = {dim - 1}; the n^2 - 1 identity is "
+                "inconsistent with a nonderogatory generator"
+            )
+        return tuple(notes)
 
 
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
@@ -286,44 +331,7 @@ def _family_report(values, tol: float | None) -> SpectralReport:
 
 def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
     """Evaluate all optimality certificates and report disagreements."""
-    return _optimality(spectral_report(gen, tol=tol))
-
-
-def _optimality(report: SpectralReport) -> OptimalityReport:
-    """The optimality certificates of an already computed spectral report."""
-    dim = report.dim
-    disc_nonzero = all(alg == 1 for _, alg, _ in report.spectrum.clusters)  # no merged cluster
-    optimal = report.eta == 1
-
-    notes = []
-    if optimal != disc_nonzero:
-        notes.append(
-            f"eta = {report.eta} and discriminant {report.discriminant} disagree; "
-            "for a diagonalizable generator they must coincide"
-        )
-    if optimal and report.mu != dim:
-        notes.append(
-            f"measured mu = {report.mu} differs from the nonderogatory value n^2 = {dim}"
-        )
-    if optimal and report.mu == dim:
-        notes.append(
-            f"measured mu = {report.mu} equals n^2 = {dim}, not the alternative "
-            f"reference value n^2 - 1 = {dim - 1}; the n^2 - 1 identity is "
-            "inconsistent with a nonderogatory generator"
-        )
-    criteria_agree = optimal == disc_nonzero and (not optimal or report.mu == dim)
-
-    return OptimalityReport(
-        eta=report.eta,
-        mu=report.mu,
-        mu_nonderogatory=dim,
-        mu_alternative_claim=dim - 1,
-        discriminant=report.discriminant,
-        discriminant_nonzero=disc_nonzero,
-        optimal=optimal,
-        criteria_agree=criteria_agree,
-        notes=tuple(notes),
-    )
+    return OptimalityReport(spectral_report(gen, tol=tol))
 
 
 def span_report(gen, observables, tol: float | None = None) -> SpanReport:

@@ -10,7 +10,12 @@ Four subcommands::
 
 Exit codes are part of the contract: 0 success/optimal/admissible,
 2 valid-but-degenerate or inadmissible, 3 conditioning failure, 1 for any
-input or usage error.  JSON reports carry a ``schema_version`` field ("3"
+input or usage error.  A command returns 0, or 2 for a negative report,
+and raises each refusal, which :func:`main` alone turns into a code and one
+``error:`` line: ``NotReconstructible`` 2 (``reconstruct`` gates on the eta
+that sets ``analyze``'s code), ``ConditioningError`` 3, and ``ValueError``,
+``OSError``, ``NumericalFailure`` or a usage error 1 (``_write`` reports a
+failed write itself).  JSON reports carry a ``schema_version`` field ("3"
 for ``check-observable``, "2" for the others) and are strict JSON: a
 non-finite number is the string "inf", "-inf" or "nan".  Complex
 matrices serialize as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
@@ -35,10 +40,11 @@ chunks over N processes with ``Pool.imap``, which keeps their order.
 ``analyze`` reads its spectral block off the same closed form and kernel,
 so a scan row equals ``analyze`` at the same point bit for bit, and the CSV
 is byte-identical whatever the chunk size or worker count.  ``reconstruct``
-reads eta off each stage's ``eigh``.  Every subcommand thus takes the
-Hermitian route, the one :func:`~strobetomo.analysis.spectral_report` gives
-a Hermitian generator; discriminants agree with it to about 1e-12
-relative.  In-process :func:`main` calls share one argument parser.
+gates on that eta too, and its stages read eta off their own ``eigh``.
+Every subcommand thus takes the Hermitian route, the one
+:func:`~strobetomo.analysis.spectral_report` gives a Hermitian generator;
+discriminants agree with it to about 1e-12 relative.  In-process
+:func:`main` calls share one argument parser.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -123,13 +130,20 @@ def _complex_to_json(z: complex) -> list:
     return [x if math.isfinite(x) else repr(x) for x in (z.real, z.imag)]
 
 
+def _open_output(path: str | None):
+    """``path`` opened for writing, or stdout for None; the one opener of
+    every output file (JSON report, scan CSV, ``--records-out``)."""
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write output: {exc}") from None
+
+
 def _emit(payload: dict, output: str | None, code: int) -> int:
     """Write the JSON report to ``output`` or stdout; ``code``, or 1 on failure."""
-    try:
-        out = open(output, "w") if output else sys.stdout
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
-    return _write(out, [json.dumps(payload, indent=2) + "\n"]) or code
+    return _write(_open_output(output), [json.dumps(payload, indent=2) + "\n"]) or code
 
 
 def _write(out, parts) -> int | None:
@@ -170,12 +184,20 @@ def _fail(message: str, code: int = EXIT_INPUT) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_params(model: str, raw: str, gamma: float):
-    cls = MODELS[model]
-    values = [float(x) for x in raw.split(",") if x.strip() != ""]
+def _family_point(args):
+    """The parameter class of ``--model`` at ``--params`` and ``--gamma``, its
+    validity, and its spectral report read off the closed form as a scan row
+    reads it (its eta sets ``analyze``'s code); ValueError off the CPTP domain."""
+    cls = MODELS[args.model]
+    values = [float(x) for x in args.params.split(",") if x.strip() != ""]
     if len(values) != len(cls.axes):
-        raise ValueError(f"{model} model takes {len(cls.axes)} parameters, got {len(values)}")
-    return cls(*values, gamma=gamma)
+        raise ValueError(f"{args.model} model takes {len(cls.axes)} parameters, got {len(values)}")
+    params = cls(*values, gamma=args.gamma)
+    validity = channels._validate(params)
+    if not validity.cptp_domain:
+        raise ValueError("; ".join(validity.violations))
+    eigenvalues = channels._family_eigenvalues([params.coefficients], params.gamma)
+    return params, validity, analysis._family_report(eigenvalues, args.tol)
 
 
 def _params_json(params) -> dict:
@@ -209,17 +231,8 @@ def _load_observable(path: str, params) -> analysis.ObservableSpec:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        params = _parse_params(args.model, args.params, args.gamma)
-    except ValueError as exc:
-        return _fail(str(exc))
-    validity = channels._validate(params)
-    if not validity.cptp_domain:
-        return _fail("; ".join(validity.violations))
-
-    values = channels._family_eigenvalues([params.coefficients], params.gamma)
-    report = analysis._family_report(values, args.tol)
-    opt = analysis._optimality(report)
+    params, validity, report = _family_point(args)
+    opt = analysis.OptimalityReport(report)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -262,17 +275,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_check_observable(args) -> int:
-    try:
-        params = _parse_params(args.model, args.params, args.gamma)
-    except ValueError as exc:
-        return _fail(str(exc))
-    validity = channels._validate(params)
-    if not validity.cptp_domain:
-        return _fail("; ".join(validity.violations))
+    params = _family_point(args)[0]
     try:
         obs = _load_observable(args.observable, params)
     except (OSError, ValueError) as exc:
-        return _fail(f"cannot load observable: {exc}")
+        raise ValueError(f"cannot load observable: {exc}") from None
 
     gen = channels._family_generator(params)
     report = analysis.span_report(gen, [obs], tol=args.tol)
@@ -302,79 +309,55 @@ def cmd_check_observable(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        params = _parse_params(args.model, args.params, args.gamma)
-    except ValueError as exc:
-        return _fail(str(exc))
-    validity = channels._validate(params)
-    if not validity.cptp_domain:
-        return _fail("; ".join(validity.violations))
-    gen = channels._family_generator(params)
+    params, _, report = _family_point(args)
     n = params.dim
-    p_needed = n * n - 1
-
-    if not validity.nondegenerate:
-        return _fail("degenerate parameters (eta > 1): a single observable cannot "
-                     "reconstruct the state", EXIT_DEGENERATE)
-
-    # Observable: file wins over seed.
-    try:
+    if report.eta != 1:  # where analyze exits 2
+        raise matcore.NotReconstructible(
+            "degenerate parameters (eta > 1): a single observable cannot reconstruct the state"
+        )
+    if not args.observable and args.observable_seed is None:
+        raise ValueError("provide --observable FILE or --observable-seed SEED")
+    gen = channels._family_generator(params)
+    try:  # the observable file wins over the seed
         if args.observable:
             obs = _load_observable(args.observable, params)
-        elif args.observable_seed is not None:
-            obs = analysis.random_admissible_observable(gen, args.observable_seed, tol=args.tol)
         else:
-            return _fail("provide --observable FILE or --observable-seed SEED")
+            obs = analysis.random_admissible_observable(gen, args.observable_seed, tol=args.tol)
     except (OSError, ValueError) as exc:
-        return _fail(f"cannot obtain observable: {exc}")
+        raise ValueError(f"cannot obtain observable: {exc}") from None
 
     simulation = args.records is None
     truth = None
-    try:
-        if simulation:
-            if not args.rho0:
-                return _fail("simulation mode needs --rho0 FILE (or pass --records CSV)")
-            truth = _read_matrix(args.rho0)
-            if truth.shape != (n, n):
-                return _fail(f"rho0 must be {n}x{n}, got {truth.shape}")
-            if np.max(np.abs(truth - truth.conj().T)) > 1e-10:
-                return _fail("rho0 must be Hermitian")
-            if abs(np.trace(truth).real - 1.0) > 1e-10:
-                return _fail(f"rho0 must have unit trace, got {np.trace(truth).real}")
-            shots: int | str
-            if args.shots == "exact":
-                shots = "exact"
-            else:
-                shots = int(args.shots)
-                if args.seed is None:
-                    return _fail("finite shot counts require --seed for reproducibility")
-            grid = _build_grid(args.grid, gen, p_needed)
-            records = reconstruct.simulate_records(
-                gen, obs.matrix, truth, grid, shots, seed=args.seed
-            )
-            if args.records_out:
-                reconstruct.records_to_csv(records, args.records_out)
-        else:
-            records = reconstruct.records_from_csv(args.records)
-            instants = [rec.t for rec in records]
-            if len(set(instants)) != len(instants):
-                return _fail("records CSV contains duplicate time instants")
-            ordered = sorted(instants)
-            grid = reconstruct.TimeGrid(instants=tuple(ordered), horizon=ordered[-1])
-    except (OSError, ValueError, matcore.NumericalFailure) as exc:
-        return _fail(str(exc))
+    if simulation:
+        if not args.rho0:
+            raise ValueError("simulation mode needs --rho0 FILE (or pass --records CSV)")
+        truth = _read_matrix(args.rho0)
+        if truth.shape != (n, n):
+            raise ValueError(f"rho0 must be {n}x{n}, got {truth.shape}")
+        if np.max(np.abs(truth - truth.conj().T)) > 1e-10:
+            raise ValueError("rho0 must be Hermitian")
+        if abs(np.trace(truth).real - 1.0) > 1e-10:
+            raise ValueError(f"rho0 must have unit trace, got {np.trace(truth).real}")
+        shots: int | str = "exact" if args.shots == "exact" else int(args.shots)
+        if shots != "exact" and args.seed is None:
+            raise ValueError("finite shot counts require --seed for reproducibility")
+        grid = _build_grid(args.grid, gen, n * n - 1)
+        records = reconstruct.simulate_records(gen, obs.matrix, truth, grid, shots, seed=args.seed)
+        if args.records_out:
+            text = io.StringIO()
+            reconstruct.records_to_csv(records, text)
+            if code := _write(_open_output(args.records_out), [text.getvalue()]):
+                return code  # _write has reported the failed write
+    else:
+        records = reconstruct.records_from_csv(args.records)
+        instants = [rec.t for rec in records]
+        if len(set(instants)) != len(instants):
+            raise ValueError("records CSV contains duplicate time instants")
+        ordered = sorted(instants)
+        grid = reconstruct.TimeGrid(instants=tuple(ordered), horizon=ordered[-1])
 
-    try:
-        plan_ = reconstruct.plan(gen, obs, grid, tol=args.tol)
-    except matcore.ConditioningError as exc:
-        return _fail(str(exc), EXIT_CONDITIONING)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_DEGENERATE)
-
-    try:
-        result = reconstruct.execute(plan_, records, psd_project=args.psd_project)
-    except ValueError as exc:
-        return _fail(str(exc))
+    plan_ = reconstruct.plan(gen, obs, grid, tol=args.tol)
+    result = reconstruct.execute(plan_, records, psd_project=args.psd_project)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -467,27 +450,24 @@ def cmd_scan(args) -> int:
     if args.workers != 1:
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
-            return _fail(f"--workers must be between 1 and {cpus}, got {args.workers}")
+            raise ValueError(f"--workers must be between 1 and {cpus}, got {args.workers}")
     names = MODELS[model].axes
     stray = [f"--{name}" for name in _ALL_AXES
              if name not in names and getattr(args, name) is not None]
     if stray:
-        return _fail(f"not an axis of the {model} model: {', '.join(stray)}")
-    try:
-        ranges = []
-        for name in names:
-            raw = getattr(args, name)
-            if raw is None:
-                raise ValueError(f"scan over {model} requires --{name}")
-            ranges.append(_parse_range(raw))
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"not an axis of the {model} model: {', '.join(stray)}")
+    ranges = []
+    for name in names:
+        raw = getattr(args, name)
+        if raw is None:
+            raise ValueError(f"scan over {model} requires --{name}")
+        ranges.append(_parse_range(raw))
 
     total = 1
     for _, _, count in ranges:
         total *= count
     if total > SCAN_POINT_CAP:
-        return _fail(f"grid holds {total} points, above the {SCAN_POINT_CAP} cap")
+        raise ValueError(f"grid holds {total} points, above the {SCAN_POINT_CAP} cap")
 
     # Flat indices in lexicographic order, last axis fastest, one chunk a job.
     jobs = (
@@ -495,10 +475,7 @@ def cmd_scan(args) -> int:
         for start in range(0, total, SCAN_CHUNK)
     )
     header = ",".join(names + ("cptp_domain", "nondegenerate", "eta", "mu", "discriminant"))
-    try:  # opened before any worker starts
-        out = open(args.output, "w", newline="") if args.output else sys.stdout
-    except OSError as exc:
-        return _fail(f"cannot write output: {exc}")
+    out = _open_output(args.output)  # before any worker starts
     with contextlib.ExitStack() as stack:
         if args.workers > 1:
             import multiprocessing
@@ -526,17 +503,13 @@ def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--gamma", type=float, default=1.0, help="decoherence rate (default 1)")
 
 
-class _UsageError(Exception):
-    """A command line argparse rejects."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as exit 1 with one line, like other input errors
-    (argparse's own exit 2 is the code for degenerate input here).
-    Subparsers inherit the class."""
+    """Raises usage errors for :func:`main` to report as exit 1 with one
+    line, like other input errors (argparse's own exit 2 is the code for
+    degenerate input here).  Subparsers inherit the class."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise argparse.ArgumentError(None, message)
 
 
 @functools.cache
@@ -608,19 +581,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line and return its exit code, decided here for every
+    refusal the commands raise (see the module docstring); any other
+    exception is a fault and propagates."""
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+        if not (math.isfinite(args.gamma) and args.gamma > 0):
+            raise ValueError(f"--gamma must be finite and positive, got {args.gamma}")
+        limit = channels._gamma_limit(MODELS[args.model].dim)
+        if args.gamma > limit:
+            raise ValueError(f"--gamma must be at most {limit:.6g} for the {args.model} model, "
+                             f"so that its eigenvalues stay finite; got {args.gamma}")
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except matcore.NotReconstructible as exc:
+        return _fail(str(exc), EXIT_DEGENERATE)
+    except matcore.ConditioningError as exc:
+        return _fail(str(exc), EXIT_CONDITIONING)
+    except (argparse.ArgumentError, ValueError, OSError, matcore.NumericalFailure) as exc:
         return _fail(str(exc))
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        return _fail(f"--tol must be finite and positive, got {args.tol}")
-    if not (math.isfinite(args.gamma) and args.gamma > 0):
-        return _fail(f"--gamma must be finite and positive, got {args.gamma}")
-    limit = channels._gamma_limit(MODELS[args.model].dim)
-    if args.gamma > limit:
-        return _fail(f"--gamma must be at most {limit:.6g} for the {args.model} model, "
-                     f"so that its eigenvalues stay finite; got {args.gamma}")
-    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "ConditioningError",
+    "NotReconstructible",
     "NumericalFailure",
     "Spectrum",
     "as_matrix",
@@ -75,6 +76,10 @@ class ConditioningError(RuntimeError):
         super().__init__(message)
         self.condition = condition
         self.matrix_name = matrix_name
+
+
+class NotReconstructible(ValueError):
+    """Valid input one observable cannot reconstruct (eta != 1, or Q fails the span check)."""
 
 
 class NumericalFailure(RuntimeError):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, matcore
-from .matcore import ConditioningError, vec, unvec
+from .matcore import ConditioningError, NotReconstructible, vec, unvec
 
 __all__ = [
     "TimeGrid",
@@ -95,14 +95,17 @@ def default_time_grid(gen, p: int) -> TimeGrid:
     The horizon is one e-folding of the fastest decay mode, which keeps all
     e^{lambda_j t} factors well away from underflow while still sampling
     distinct decay phases.  Conditioning is *checked* downstream (in
-    :func:`plan`), never assumed from the grid.
+    :func:`plan`), never assumed from the grid.  A generator with eta != 1
+    raises :class:`~strobetomo.matcore.NotReconstructible`.
     """
     if p < 1:
         raise ValueError(f"grid needs at least one instant, got p = {p}")
     values = matcore.eigh(gen)[0]
     eta = analysis._family_spectra(values[None]).eta[0]
     if eta != 1:
-        raise ValueError(f"default grid requires an optimal generator (eta = 1), got eta = {eta}")
+        raise NotReconstructible(
+            f"default grid requires an optimal generator (eta = 1), got eta = {eta}"
+        )
     lam_max = float(np.max(np.abs(values)))
     if lam_max <= 0:
         raise ValueError("zero spectrum: no decay scale to set a horizon")
@@ -158,8 +161,9 @@ def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     many outcomes from Q's eigenvalues with Born probabilities
     <q_k|rho|q_k> (multinomially, seeded) and returns the sample mean.
     ``t`` only labels the record; the state passed in is already rho(t).
+    Q must be Hermitian to 1e-12 of its largest entry, in both modes.
     """
-    q = np.asarray(q, dtype=complex)
+    q = analysis.ObservableSpec.from_matrix(q).matrix
     rho = matcore.as_matrix(rho)
     if shots == "exact":
         return MeasurementRecord(t=t, value=expectation(q, rho), shots="exact")
@@ -256,12 +260,12 @@ class ReconstructionPlan:
 def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan:
     """Build and validate a reconstruction plan.
 
-    Requirements checked here: the generator is Hermitian,
-    trace-preserving and optimal (eta = 1), the grid has exactly
-    p = n^2 - 1 distinct instants, and the observable passes the Krylov
-    span check.  The reduced system must be conditioned
-    below 1e8, otherwise a :class:`~strobetomo.matcore.ConditioningError`
-    is raised.
+    Requirements checked here: the generator is Hermitian and
+    trace-preserving and the grid has exactly p = n^2 - 1 distinct instants
+    (else ValueError); the generator is optimal (eta = 1) and the
+    observable passes the Krylov span check (else
+    :class:`~strobetomo.matcore.NotReconstructible`); the reduced system is
+    conditioned below 1e8 (else :class:`~strobetomo.matcore.ConditioningError`).
     """
     gen = np.asarray(gen, dtype=complex)
     obs = q if isinstance(q, analysis.ObservableSpec) else analysis.ObservableSpec.from_matrix(q)
@@ -274,7 +278,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     eigensystem = matcore.eigh(gen)
     eta = analysis._family_spectra(eigensystem[0][None]).eta[0]
     if eta != 1:
-        raise ValueError(
+        raise NotReconstructible(
             f"reconstruction from a single observable requires eta = 1, got eta = {eta}"
         )
     if grid.p != n2 - 1:
@@ -283,7 +287,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
             f"got {grid.p}"
         )
     if not analysis._span_report(eigensystem, [obs.matrix], tol).satisfied:
-        raise ValueError("observable fails the Krylov span check (inadmissible)")
+        raise NotReconstructible("observable fails the Krylov span check (inadmissible)")
 
     # Forward rows, mode by mode: L* = L = V diag(lambda) V^dagger, so
     # <B_u, exp(L* t)[Q]> = sum_k <B_u, v_k> e^{lambda_k t} c_k with
@@ -296,7 +300,8 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     overlaps = basis.transpose(0, 2, 1).reshape(n2, n2).conj() @ vectors  # <B_u, v_k>
     decaying = np.arange(n2) != np.argmin(np.abs(values))
     coords = vectors.conj().T @ vec(obs.matrix)
-    modes = np.exp(np.outer(grid.instants, values[decaying])) * coords[decaying]
+    with np.errstate(over="ignore"):  # lambda t past -1.8e308 is -inf, whose exponential is 0
+        modes = np.exp(np.outer(grid.instants, values[decaying])) * coords[decaying]
     reduced = (modes @ overlaps[1:, decaying].T).real
     cond_reduced = float(np.linalg.cond(reduced))
     if cond_reduced >= CONDITION_LIMIT:

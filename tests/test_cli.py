@@ -21,6 +21,14 @@ from strobetomo.cli import main, matrix_from_json, matrix_to_json
 
 WORKED_ARGS = ["--model", "two-level", "--params", "0.1,0.2,0.3", "--gamma", "1.0"]
 
+#: Acceptance criterion 3's 186th qutrit draw (seed 103): the flag reads
+#: nondegenerate next to eta = 2 (fault F).
+FAULT_F_PARAMS = ("0.15752838500310942,0.12087229029566031,0.296894396906848,"
+                  "0.12269588021277361,0.045498234391776395,0.04732181940925591")
+FAULT_F_GAMMA = "2.6005273588543214"
+
+GATE_MESSAGE = "degenerate parameters (eta > 1): a single observable cannot reconstruct the state"
+
 
 def write_matrix(path, m):
     path.write_text(json.dumps(matrix_to_json(np.asarray(m, dtype=complex))))
@@ -332,6 +340,45 @@ class TestReconstruct:
         )
         assert code == 2
 
+    def test_wrong_instant_count_exits_1(self, capsys, tmp_path):
+        """Two instants where the qubit needs three is malformed input, on an
+        explicit grid and in a records CSV alike."""
+        err = assert_one_line_error(capsys, main(self.reconstruct_args(tmp_path, grid="0.5,1")))
+        assert "p = n^2 - 1 = 3 instants, got 2" in err
+        csv_path = tmp_path / "two.csv"
+        csv_path.write_text("t,value,shots\n0.5,0.1,exact\n1.0,0.2,exact\n")
+        argv = ["reconstruct", *WORKED_ARGS, "--observable-seed", "1", "--records", str(csv_path)]
+        assert "got 2" in assert_one_line_error(capsys, main(argv))
+
+    @pytest.mark.parametrize("route", [
+        ["--observable-seed", "1"],
+        ["--observable", "q.json"],
+        ["--observable", "q.json", "--grid", "1,2,3,4,5,6,7,8"],
+    ])
+    def test_fault_f_point_exits_2_on_every_route(self, capsys, tmp_path, route):
+        """At acceptance criterion 3's 186th qutrit draw the flag reads
+        nondegenerate next to eta = 2; analyze exits 2, and so does every
+        reconstruct route, at the gate."""
+        point = ["--model", "three-level", "--params", FAULT_F_PARAMS, "--gamma", FAULT_F_GAMMA]
+        assert main(["analyze", *point]) == 2
+        capsys.readouterr()
+        write_matrix(tmp_path / "q.json", np.diag([1.0, 0.2, -0.7]) + 0.1 * np.ones((3, 3)))
+        rho = write_matrix(tmp_path / "rho.json", np.eye(3) / 3)
+        route = [str(tmp_path / a) if a == "q.json" else a for a in route]
+        code = main(["reconstruct", *point, *route, "--rho0", rho])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {GATE_MESSAGE}\n"
+
+    @pytest.mark.parametrize("target", ["missing directory", "/dev/full"])
+    def test_unwritable_records_out_exits_1(self, capsys, tmp_path, target):
+        if target == "/dev/full" and not os.path.exists(target):
+            pytest.skip("no /dev/full")
+        path = str(tmp_path / "no" / "r.csv") if target == "missing directory" else target
+        argv = self.reconstruct_args(tmp_path, **{"records-out": path})
+        err = assert_one_line_error(capsys, main(argv))
+        assert err.startswith("error: cannot write output: ")
+
     def test_ill_conditioned_grid_exits_3(self, capsys, tmp_path):
         code = main(self.reconstruct_args(tmp_path, grid="50,55,60"))
         assert code == 3
@@ -378,6 +425,42 @@ class TestReconstruct:
         assert code == 0
         psd = matrix_from_json(payload["psd_estimate"])
         assert np.linalg.eigvalsh(psd).min() > -1e-14
+
+
+def _near_tie_points(model, count, rng):
+    """In-domain points of ``model`` with two coefficients tied to a relative
+    1e-10 to 1e-6, at random rates: some fall between the flag's cut and eta's."""
+    d = len(cli.MODELS[model].axes)
+    points = []
+    while len(points) < count:
+        a = rng.uniform(0.02, 0.3 if d == 3 else 0.15, d)
+        i, j = rng.choice(d, 2, replace=False)
+        a[j] = a[i] * (1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -6))
+        params = cli.MODELS[model](*a.tolist(), gamma=float(rng.uniform(0.5, 3.0)))
+        if channels._validate(params).cptp_domain:
+            points.append(["--model", model, "--params", ",".join(map(repr, a.tolist())),
+                           "--gamma", repr(params.gamma)])
+    return points
+
+
+def test_reconstruct_refuses_wherever_analyze_exits_2(capsys, tmp_path):
+    """``reconstruct`` gates on the eta that sets ``analyze``'s exit code, so
+    it refuses every such point with the gate's message, the points whose
+    flag reads nondegenerate included."""
+    rng = np.random.default_rng(23)
+    refused = between = 0
+    for model, n in (("two-level", 2), ("three-level", 3)):
+        rho = write_matrix(tmp_path / f"rho{n}.json", np.eye(n) / n)
+        for point in _near_tie_points(model, 120, rng):
+            code, report = run_json(capsys, ["analyze", *point])
+            if code != 2:
+                continue
+            refused += 1
+            between += report["validity"]["nondegenerate"]
+            code = main(["reconstruct", *point, "--observable-seed", "1", "--rho0", rho])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (2, f"error: {GATE_MESSAGE}\n"), point
+    assert refused >= 100 and between >= 5
 
 
 class TestScan:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from strobetomo import matcore
 from strobetomo.analysis import ObservableSpec, random_admissible_observable
 from strobetomo.channels import (
     ThreeLevelParams,
@@ -218,6 +219,17 @@ class TestEvolveAndMeasure:
         with pytest.raises(ValueError, match="density"):
             measure(np.diag([1.0, -1.0]), bad, 100, seed=0)
 
+    @pytest.mark.parametrize("shots", ["exact", 1000])
+    def test_non_hermitian_observable_is_refused(self, shots):
+        """Q must be Hermitian to 1e-12 of its largest entry in both modes: the
+        shot-noisy path would otherwise sample (Q + Q^dagger)/2."""
+        q = np.array([[1.0, 1.0], [0.0, -1.0]])
+        grid = default_time_grid(GEN_2, 3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            simulate_records(GEN_2, q, np.eye(2) / 2, grid, shots, seed=1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            measure(q, np.eye(2) / 2, shots, seed=1)
+
     def test_simulate_records_deterministic(self):
         grid = default_time_grid(GEN_2, 3)
         a = simulate_records(GEN_2, Q_2, RHO_2, grid, 500, seed=3)
@@ -336,6 +348,49 @@ class TestPlan:
         grid = default_time_grid(GEN_3_CLUSTERED, 8)
         with pytest.raises((ConditioningError, ValueError)):
             plan(GEN_3_CLUSTERED, q, grid)
+
+
+class TestRefusalTypes:
+    """A verdict (eta != 1, a failed span check) raises ``NotReconstructible``,
+    a ValueError; malformed input a plain ValueError."""
+
+    TIE = generator_two_level(TwoLevelParams(0.2, 0.2, 0.3, gamma=1.0))
+
+    def test_verdicts(self):
+        verdict = matcore.NotReconstructible
+        assert issubclass(verdict, ValueError)
+        grid = default_time_grid(GEN_2, 3)
+        with pytest.raises(verdict, match="eta = 2"):
+            default_time_grid(self.TIE, 3)
+        with pytest.raises(verdict, match="eta = 2"):
+            plan(self.TIE, Q_2, grid)
+        with pytest.raises(verdict, match="span"):
+            plan(GEN_2, np.diag([1.0, -1.0]), grid)
+
+    @pytest.mark.parametrize("case", ["instant count", "shape", "trace"])
+    def test_malformed_input_is_no_verdict(self, case):
+        grid = default_time_grid(GEN_2, 3)
+        gen, q = GEN_2, Q_2
+        if case == "instant count":
+            grid = TimeGrid(instants=(0.2, 0.5), horizon=1.0)
+        elif case == "shape":
+            q = np.eye(3)
+        else:
+            gen = GEN_2 - 0.1 * np.eye(4)
+        with pytest.raises(ValueError) as err:
+            plan(gen, q, grid)
+        assert not isinstance(err.value, matcore.NotReconstructible)
+
+    def test_overflowing_instants_warn_nothing(self):
+        """Instants times rates past the float range give rows of 0 and the
+        conditioning gate, with no overflow warning."""
+        gen = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1e200))
+        obs = random_admissible_observable(gen, 1)
+        grid = TimeGrid(instants=(1e200, 2e200, 3e200), horizon=3e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError):
+                plan(gen, obs, grid)
 
 
 class TestExecute:
