@@ -33,9 +33,9 @@ SVD per cluster), Jordan blocks included.
 
 For a nonderogatory n^2 x n^2 generator mu equals n^2.  A widely quoted
 variant of this equivalence states mu = n^2 - 1 instead; that value is
-incompatible with the nonderogatory characterization, so optimality
-reports carry the measured mu together with both reference values and
-flag the inconsistency instead of asserting either.
+incompatible with the nonderogatory characterization, so the spectral
+report, which is also the optimality record, carries the measured mu with
+both reference values and flags the inconsistency instead of asserting either.
 
 Observable admissibility: a Hermitian Q can reconstruct states under a
 generator L exactly when {I, Q, L*[Q], ..., (L*)^{n^2-2}[Q]} spans the
@@ -46,6 +46,8 @@ V diag(lambda) V^dagger, and the span holds exactly when the spectrum is
 simple and every decaying eigen-coordinate c_k = <v_k, vec Q> is nonzero,
 which one eigendecomposition decides.  For qubits this reduces to the
 closed-form test A != B, C != 0, D != 0 on Q = [[A, C+iD], [C-iD, B]].
+Every function taking an observable takes a spec as it is and a matrix
+through :meth:`ObservableSpec.from_matrix`, which refuses a non-Hermitian one.
 """
 
 from __future__ import annotations
@@ -74,15 +76,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Clustered spectrum plus the derived tomography indices.
+    """Clustered spectrum, the derived tomography indices and the
+    cross-checked optimality certificates, all read off ``spectrum``.
 
     ``clusters`` holds (eigenvalue, algebraic, geometric) triples sorted by
     (real, imaginary) part; ``eta`` is the maximum geometric multiplicity;
-    ``mu`` the minimal-polynomial degree; ``discriminant`` the pairwise
-    product over cluster representatives (exactly zero whenever any cluster
-    has algebraic multiplicity > 1).  ``eta``, ``mu`` and ``tolerance`` are
-    read off ``spectrum``.  On a Hermitian generator geometric = algebraic,
-    so eta is the largest cluster and ``tolerance`` decides nothing.
+    ``mu`` the minimal-polynomial degree, the sum of the eigenvalue indices;
+    ``discriminant`` the pairwise product over cluster representatives
+    (exactly zero whenever any cluster has algebraic multiplicity > 1).  On
+    a Hermitian generator geometric = algebraic, so eta is the largest
+    cluster and ``tolerance`` decides nothing.
+
+    ``optimal`` is the operative verdict (eta = 1).  ``mu_nonderogatory``
+    (= n^2) is the mu implied by a simple spectrum, while
+    ``mu_alternative_claim`` (= n^2 - 1) is a reference value sometimes
+    quoted for the same equivalence; any disagreement between the measured
+    mu and either reference is spelled out in ``notes``.
     """
 
     spectrum: matcore.Spectrum
@@ -108,6 +117,46 @@ class SpectralReport:
     def optimal(self) -> bool:
         """One observable suffices exactly when eta = 1."""
         return self.eta == 1
+
+    @property
+    def mu_nonderogatory(self) -> int:
+        return self.dim
+
+    @property
+    def mu_alternative_claim(self) -> int:
+        return self.dim - 1
+
+    @property
+    def discriminant_nonzero(self) -> bool:
+        return all(alg == 1 for _, alg, _ in self.spectrum.clusters)  # no merged cluster
+
+    @property
+    def criteria_agree(self) -> bool:
+        return self.optimal == self.discriminant_nonzero and (
+            not self.optimal or self.mu == self.mu_nonderogatory
+        )
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        mu, dim = self.mu, self.mu_nonderogatory
+        notes = []
+        if self.optimal != self.discriminant_nonzero:
+            notes.append(
+                f"eta = {self.eta} and discriminant {self.discriminant} disagree; "
+                "for a diagonalizable generator they must coincide"
+            )
+        if self.optimal and mu != dim:
+            notes.append(f"measured mu = {mu} differs from the nonderogatory value n^2 = {dim}")
+        if self.optimal and mu == dim:
+            notes.append(
+                f"measured mu = {mu} equals n^2 = {dim}, not the alternative "
+                f"reference value n^2 - 1 = {dim - 1}; the n^2 - 1 identity is "
+                "inconsistent with a nonderogatory generator"
+            )
+        return tuple(notes)
+
+
+OptimalityReport = SpectralReport
 
 
 @dataclass(frozen=True)
@@ -152,6 +201,12 @@ class ObservableSpec:
         return float(self.matrix[0, 1].imag) if self.dim == 2 else None
 
 
+def _observable(q) -> ObservableSpec:
+    """The one observable gate: a spec as it is, a matrix through
+    :meth:`ObservableSpec.from_matrix`."""
+    return q if isinstance(q, ObservableSpec) else ObservableSpec.from_matrix(q)
+
+
 @dataclass(frozen=True)
 class SpanReport:
     """Span test of {I, Q_1, ...} and their Heisenberg-picture orbits.
@@ -170,74 +225,6 @@ class SpanReport:
     @property
     def satisfied(self) -> bool:
         return self.rank == self.required
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    """Cross-checked optimality certificates, all read off ``report``.
-
-    ``optimal`` is the operative verdict (eta = 1).  ``mu`` is the sum of
-    the eigenvalue indices; ``mu_nonderogatory`` (= n^2) is the value
-    implied by a simple spectrum, while ``mu_alternative_claim`` (= n^2 - 1) is a
-    reference value sometimes quoted for the same equivalence; any
-    disagreement between the measured mu and either reference is spelled
-    out in ``notes``.
-    """
-
-    report: SpectralReport
-
-    @property
-    def eta(self) -> int:
-        return self.report.eta
-
-    @property
-    def mu(self) -> int:
-        return self.report.mu
-
-    @property
-    def discriminant(self) -> complex:
-        return self.report.discriminant
-
-    @property
-    def optimal(self) -> bool:
-        return self.report.optimal
-
-    @property
-    def mu_nonderogatory(self) -> int:
-        return self.report.dim
-
-    @property
-    def mu_alternative_claim(self) -> int:
-        return self.report.dim - 1
-
-    @property
-    def discriminant_nonzero(self) -> bool:
-        return all(alg == 1 for _, alg, _ in self.report.spectrum.clusters)  # no merged cluster
-
-    @property
-    def criteria_agree(self) -> bool:
-        return self.optimal == self.discriminant_nonzero and (
-            not self.optimal or self.mu == self.mu_nonderogatory
-        )
-
-    @property
-    def notes(self) -> tuple[str, ...]:
-        mu, dim = self.mu, self.mu_nonderogatory
-        notes = []
-        if self.optimal != self.discriminant_nonzero:
-            notes.append(
-                f"eta = {self.eta} and discriminant {self.discriminant} disagree; "
-                "for a diagonalizable generator they must coincide"
-            )
-        if self.optimal and mu != dim:
-            notes.append(f"measured mu = {mu} differs from the nonderogatory value n^2 = {dim}")
-        if self.optimal and mu == dim:
-            notes.append(
-                f"measured mu = {mu} equals n^2 = {dim}, not the alternative "
-                f"reference value n^2 - 1 = {dim - 1}; the n^2 - 1 identity is "
-                "inconsistent with a nonderogatory generator"
-            )
-        return tuple(notes)
 
 
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
@@ -261,6 +248,9 @@ def spectral_report(gen, tol: float | None = None) -> SpectralReport:
     if len(spectrum.clusters) == spectrum.dim:
         disc = _discriminant(values if values.imag.any() else values.real)
     return SpectralReport(spectrum=spectrum, discriminant=complex(disc))
+
+
+optimality_report = spectral_report
 
 
 def _discriminant(values):
@@ -329,11 +319,6 @@ def _family_report(values, tol: float | None) -> SpectralReport:
     return SpectralReport(spectrum=spectrum, discriminant=complex(s.discriminant[0]))
 
 
-def optimality_report(gen, tol: float | None = None) -> OptimalityReport:
-    """Evaluate all optimality certificates and report disagreements."""
-    return OptimalityReport(spectral_report(gen, tol=tol))
-
-
 def span_report(gen, observables, tol: float | None = None) -> SpanReport:
     """Do {I, Q_1, ...} and their orbits under L* span the operator space?
 
@@ -355,7 +340,7 @@ def _span_report(eigensystem, observables, tol: float | None) -> SpanReport:
     n = int(round(np.sqrt(n2)))
     cols = [vec(np.eye(n))]
     for q in observables:
-        q = q.matrix if isinstance(q, ObservableSpec) else np.asarray(q, dtype=complex)
+        q = _observable(q).matrix
         if q.shape != (n, n):
             raise ValueError(f"observable shape {q.shape} does not match generator dim {n}")
         cols.append(vec(q))
@@ -384,7 +369,7 @@ def span_check(gen, q, tol: float | None = None) -> bool:
 
 def two_level_admissible(q, tol: float = 1e-12) -> bool:
     """Closed-form qubit admissibility: A != B, C != 0 and D != 0."""
-    spec = q if isinstance(q, ObservableSpec) else ObservableSpec.from_matrix(q)
+    spec = _observable(q)
     if spec.dim != 2:
         raise ValueError("closed-form admissibility is defined for 2x2 observables")
     return bool(
@@ -418,8 +403,9 @@ def random_admissible_observable(
         else:
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q = (x + x.conj().T) / 2.0
-        if _span_report(eigensystem, [q], tol).satisfied:
-            return ObservableSpec.from_matrix(q)
+        obs = ObservableSpec.from_matrix(q)
+        if _span_report(eigensystem, [obs], tol).satisfied:
+            return obs
     raise ValueError(
         f"no admissible observable found in {tries} tries; the generator is "
         "likely non-optimal (eta > 1), where no single observable can span "

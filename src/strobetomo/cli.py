@@ -232,8 +232,6 @@ def _load_observable(path: str, params) -> analysis.ObservableSpec:
 
 def cmd_analyze(args) -> int:
     params, validity, report = _family_point(args)
-    opt = analysis.OptimalityReport(report)
-
     payload = {
         "schema_version": SCHEMA_VERSION,
         "model": args.model,
@@ -256,17 +254,17 @@ def cmd_analyze(args) -> int:
             "tolerance": report.tolerance,
         },
         "optimality": {
-            "eta": opt.eta,
-            "mu": opt.mu,
-            "mu_nonderogatory": opt.mu_nonderogatory,
-            "mu_alternative_claim": opt.mu_alternative_claim,
-            "discriminant_nonzero": opt.discriminant_nonzero,
-            "optimal": opt.optimal,
-            "criteria_agree": opt.criteria_agree,
-            "notes": list(opt.notes),
+            "eta": report.eta,
+            "mu": report.mu,
+            "mu_nonderogatory": report.mu_nonderogatory,
+            "mu_alternative_claim": report.mu_alternative_claim,
+            "discriminant_nonzero": report.discriminant_nonzero,
+            "optimal": report.optimal,
+            "criteria_agree": report.criteria_agree,
+            "notes": list(report.notes),
         },
     }
-    return _emit(payload, args.output, EXIT_OK if opt.optimal else EXIT_DEGENERATE)
+    return _emit(payload, args.output, EXIT_OK if report.optimal else EXIT_DEGENERATE)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ def cmd_reconstruct(args) -> int:
         if shots != "exact" and args.seed is None:
             raise ValueError("finite shot counts require --seed for reproducibility")
         grid = _build_grid(args.grid, gen, n * n - 1)
-        records = reconstruct.simulate_records(gen, obs.matrix, truth, grid, shots, seed=args.seed)
+        records = reconstruct.simulate_records(gen, obs, truth, grid, shots, seed=args.seed)
         if args.records_out:
             text = io.StringIO()
             reconstruct.records_to_csv(records, text)

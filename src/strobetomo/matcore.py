@@ -25,9 +25,10 @@ module works on anything array-like but always returns ndarrays.
 
 Input that is Hermitian to 1e-12 of its largest entry (``_hermitian_part``,
 the package's one Hermitian test) takes :func:`eigh`, and any other input
-the general :func:`eig`.  A Hermitian generator (both family generators are real
-symmetric) is decomposed once: its eigenvalues settle eta and mu, and
-:func:`propagate` applies ``exp(m t)`` through its eigenvectors.  Family
+the general :func:`eig`.  A Hermitian generator (both family generators are
+real symmetric) is decomposed by :func:`eigh`: its eigenvalues settle eta and
+mu, and every evolution exp(L t) takes ``_semigroup``, the one rule for its
+modes, and through it :func:`propagate`.  Family
 generators are diagonal in ``_hermitian_basis``, so :mod:`.channels` reads
 their eigenvalues off it in closed form, with no solver.  :func:`eig`
 serves the rest, non-normal matrices included, with null-space ranks for
@@ -298,7 +299,9 @@ def propagate(eigensystem, x, times) -> np.ndarray:
     """``exp(m t) x`` for every ``t`` in ``times``, one row per instant.
 
     ``eigensystem`` is ``(values, vectors)`` from :func:`eigh`, so the
-    action is V e^{values t} V^dagger x for all instants at once.
+    action is V e^{values t} V^dagger x for all instants at once.  A
+    generator's evolution takes :func:`_semigroup`, which applies its rule
+    first.
     """
     values, vectors = eigensystem
     coords = vectors.conj().T @ np.asarray(x, dtype=complex)
@@ -306,3 +309,25 @@ def propagate(eigensystem, x, times) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NumericalFailure("matrix exponential produced non-finite entries")
     return out
+
+
+def _semigroup(eigensystem, x, times) -> np.ndarray:
+    """``exp(L t) x`` of a generator L for every ``t`` in ``times``, one row
+    per instant, from ``(values, vectors)`` of L (or of the modes kept) by
+    :func:`eigh`: the one evolution rule.  Instants must be finite and >= 0.
+    An eigenvalue within 1e-12 max|lambda| of 0 is the 0 it rounds, whatever
+    its sign; a larger positive one is a growing mode, refused with
+    ValueError; lambda t below the float range evolves as 0.
+    """
+    times = np.asarray(times, dtype=float)
+    bad = ~((times >= 0) & (times < np.inf))  # nan fails both
+    if bad.any():
+        raise ValueError(f"instants must be finite and >= 0, got {times[bad][0]}")
+    values, vectors = eigensystem
+    size = np.abs(values)
+    cut = 1e-12 * size.max()
+    if values[-1] > cut:
+        raise ValueError(f"generator has a growing mode (eigenvalue {values[-1]:.3e} > 0)")
+    values = np.where(size <= cut, 0.0, values)
+    with np.errstate(over="ignore"):  # lambda t past -1.8e308 is -inf, whose exponential is 0
+        return propagate((values, vectors), x, times)

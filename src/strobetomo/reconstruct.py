@@ -16,9 +16,10 @@ its condition number measures the measurement design (observable and
 instants) and is gated at 1e8.
 
 Time grids, evolution and planning take a Hermitian, trace-preserving
-generator, as both family generators are: one ``matcore.eigh`` of it gives
-eta (through ``analysis._family_spectra``), exp(L t) at every instant at
-once, and the forward rows mode by mode.  Each stage runs its own ``eigh``.
+generator, as both family generators are.  Each stage runs its own
+``matcore.eigh`` of it, which gives eta (``analysis._family_spectra``) and,
+through ``matcore._semigroup``, the one evolution rule, the states, records
+and forward rows at all instants (finite, >= 0) at once.
 
 Measurement simulation follows the Born rule on Q's eigenbasis with a
 multinomial shot model; per-instant substreams are spawned from one seed,
@@ -121,25 +122,16 @@ def default_time_grid(gen, p: int) -> TimeGrid:
 
 
 def evolve(gen, rho0, t: float) -> np.ndarray:
-    """rho(t) = unvec(exp(L t) vec rho0) for a Hermitian generator."""
+    """rho(t) = unvec(exp(L t) vec rho0) for a Hermitian generator and finite t >= 0."""
     return _trajectory(matcore.eigh(gen), rho0, [t])[0]
 
 
 def _trajectory(eigensystem, rho0, times) -> list[np.ndarray]:
-    """rho(t) for every t in ``times``, from the generator's ``matcore.eigh``.
-
-    A generator has no growing mode: an eigenvalue above 0 by at most
-    1e-12 max|lambda| is rounding and evolves as 0, so late instants stay
-    finite; a larger one is refused with ValueError.
-    """
-    values, vectors = eigensystem
-    if values[-1] > 1e-12 * np.abs(values).max():
-        raise ValueError(f"generator has a growing mode (eigenvalue {values[-1]:.3e} > 0)")
+    """rho(t) for every t in ``times``, by ``matcore._semigroup`` on the
+    generator's ``matcore.eigh``."""
     rho0 = matcore.as_matrix(rho0)
     n = rho0.shape[0]
-    with np.errstate(over="ignore"):  # lambda t past -1.8e308 is -inf, whose exponential is 0
-        states = matcore.propagate((np.minimum(values, 0.0), vectors), vec(rho0), times)
-    return [unvec(v, n, n) for v in states]
+    return [unvec(v, n, n) for v in matcore._semigroup(eigensystem, vec(rho0), times)]
 
 
 def expectation(q, rho) -> float:
@@ -161,9 +153,10 @@ def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     many outcomes from Q's eigenvalues with Born probabilities
     <q_k|rho|q_k> (multinomially, seeded) and returns the sample mean.
     ``t`` only labels the record; the state passed in is already rho(t).
-    Q must be Hermitian to 1e-12 of its largest entry, in both modes.
+    Q, an :class:`~strobetomo.analysis.ObservableSpec` or a matrix, must be
+    Hermitian to 1e-12 of its largest entry, in both modes.
     """
-    q = analysis.ObservableSpec.from_matrix(q).matrix
+    q = analysis._observable(q).matrix
     rho = matcore.as_matrix(rho)
     if shots == "exact":
         return MeasurementRecord(t=t, value=expectation(q, rho), shots="exact")
@@ -209,15 +202,17 @@ def simulate_records(gen, q, rho0, grid: TimeGrid, shots, seed=None) -> list[Mea
 
     Each instant gets its own substream spawned from ``seed`` (fresh
     identically-prepared ensembles per instant), so the record list is
-    deterministic for a fixed seed independent of evaluation order.
+    deterministic for a fixed seed independent of evaluation order.  Q is
+    checked once, as :func:`measure` checks it.
     """
+    obs = analysis._observable(q)
     if shots == "exact":
         child_seeds = [None] * grid.p
     else:
         child_seeds = np.random.SeedSequence(seed).spawn(grid.p)
     states = _trajectory(matcore.eigh(gen), rho0, grid.instants)
     return [
-        measure(q, rho_t, shots, seed=sub, t=t)
+        measure(obs, rho_t, shots, seed=sub, t=t)
         for t, rho_t, sub in zip(grid.instants, states, child_seeds)
     ]
 
@@ -268,7 +263,7 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
     conditioned below 1e8 (else :class:`~strobetomo.matcore.ConditioningError`).
     """
     gen = np.asarray(gen, dtype=complex)
-    obs = q if isinstance(q, analysis.ObservableSpec) else analysis.ObservableSpec.from_matrix(q)
+    obs = analysis._observable(q)
     n = obs.dim
     n2 = n * n
     if gen.shape != (n2, n2):
@@ -286,23 +281,19 @@ def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan
             f"single-observable reconstruction needs p = n^2 - 1 = {n2 - 1} instants, "
             f"got {grid.p}"
         )
-    if not analysis._span_report(eigensystem, [obs.matrix], tol).satisfied:
+    if not analysis._span_report(eigensystem, [obs], tol).satisfied:
         raise NotReconstructible("observable fails the Krylov span check (inadmissible)")
 
-    # Forward rows, mode by mode: L* = L = V diag(lambda) V^dagger, so
-    # <B_u, exp(L* t)[Q]> = sum_k <B_u, v_k> e^{lambda_k t} c_k with
-    # c = V^dagger vec Q.  A trace-preserving Hermitian L has the stationary
-    # mode vec(I)/sqrt(n), so column 0 is Tr Q / sqrt(n) and the traceless
-    # columns sum only the decaying modes; summing the stationary one too
-    # would add its rounding, which swamps late-time rows.
+    # Forward rows: L* = L, so row j is exp(L t_j)[Q] in the basis B_u.  A
+    # trace-preserving Hermitian L has the stationary mode vec(I)/sqrt(n),
+    # which feeds column 0 alone (Tr Q / sqrt(n)); the traceless columns
+    # evolve the other modes only.
     values, vectors = eigensystem
-    basis = matcore._hermitian_basis(n)
-    overlaps = basis.transpose(0, 2, 1).reshape(n2, n2).conj() @ vectors  # <B_u, v_k>
     decaying = np.arange(n2) != np.argmin(np.abs(values))
-    coords = vectors.conj().T @ vec(obs.matrix)
-    with np.errstate(over="ignore"):  # lambda t past -1.8e308 is -inf, whose exponential is 0
-        modes = np.exp(np.outer(grid.instants, values[decaying])) * coords[decaying]
-    reduced = (modes @ overlaps[1:, decaying].T).real
+    modes = (values[decaying], vectors[:, decaying])
+    rows = matcore._semigroup(modes, vec(obs.matrix), grid.instants)
+    # <B_u, X> = Tr(B_u X) = ravel(B_u) . vec(X), B_u Hermitian, row-major ravel
+    reduced = (rows @ matcore._hermitian_basis(n)[1:].reshape(n2 - 1, n2).T).real
     cond_reduced = float(np.linalg.cond(reduced))
     if cond_reduced >= CONDITION_LIMIT:
         raise ConditioningError(
@@ -402,7 +393,7 @@ def _psd_projection(rho: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_trajectory(gen, result: ReconstructionResult, times) -> list[np.ndarray]:
-    """Propagate the recovered initial state along the known dynamics."""
+    """Propagate the recovered initial state along the known dynamics to instants t >= 0."""
     return _trajectory(matcore.eigh(gen), result.estimate, times)
 
 

@@ -682,6 +682,16 @@ class TestSpanReport:
         with pytest.raises(ValueError, match="Hermitian"):
             span_report(generator_from_lindblad(spec), [pauli(1)])
 
+    def test_rejects_non_hermitian_observable(self):
+        """The span test takes an observable through the one gate, as plan
+        and the closed form do: this Q reaches rank 4 unchecked."""
+        q = np.array([[0.3, 0.5 + 0.7j], [0.1 - 0.2j, -0.4]])
+        for check in (span_check, lambda gen, q: span_report(gen, [q])):
+            with pytest.raises(ValueError, match="Hermitian"):
+                check(GEN_2, q)
+        with pytest.raises(ValueError, match="Hermitian"):
+            two_level_admissible(q)
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         k=st.lists(st.integers(0, 5), min_size=3, max_size=3, unique=True),

@@ -539,3 +539,15 @@ class TestTangency:
         family = three_level_family(WORKED_3)
         rho = random_density(np.random.default_rng(18), 3)
         assert kraus_vs_semigroup_deviation(family, 0.5, rho) > 1e-6
+
+    def test_deviation_is_bounded_at_late_instants(self):
+        """Both maps are channels, so on a state they are at most 2 apart.
+        eigh puts the first point's stationary eigenvalue at +3.3e-16, which
+        grows e^{lambda t} to 2e14 at t = 1e17 unless it evolves as 0."""
+        rng = np.random.default_rng(19)
+        points = [(0.5790545744292542, 0.2996938728905012, 0.07754657235100282)]
+        points += [tuple(rng.dirichlet(np.ones(4))[:3]) for _ in range(20)]
+        for a in points:
+            family = two_level_family(TwoLevelParams(*a))
+            for t in (1e3, 1e17, 1e300):
+                assert kraus_vs_semigroup_deviation(family, t, random_density(rng, 2)) <= 2.0

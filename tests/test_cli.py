@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strobetomo import analysis, channels, cli, matcore
+from strobetomo import analysis, channels, cli, matcore, reconstruct
 from strobetomo.cli import main, matrix_from_json, matrix_to_json
 
 WORKED_ARGS = ["--model", "two-level", "--params", "0.1,0.2,0.3", "--gamma", "1.0"]
@@ -318,6 +318,22 @@ class TestReconstruct:
             matrix_from_json(simulated["estimate"]),
             atol=1e-12,
         )
+
+    def test_records_out_at_late_instants_hold_the_stationary_value(self, capsys, tmp_path):
+        """At gamma 1e300 every decaying mode is 0 by the first instant, so
+        the plan is refused (exit 3), and the records written before are
+        Tr(Q)/2, not the 0.0 of a stationary mode that decayed."""
+        csv_path = tmp_path / "records.csv"
+        rho = write_matrix(tmp_path / "rho.json", self.RHO)
+        code = main(["reconstruct", "--model", "two-level", "--params", "0.1,0.2,0.3",
+                     "--gamma", "1e300", "--observable-seed", "1", "--rho0", rho,
+                     "--grid", "1e-280,2e-280,3e-280", "--records-out", str(csv_path)])
+        assert code == 3
+        assert "condition" in capsys.readouterr().err
+        gen = channels.generator_two_level(channels.TwoLevelParams(0.1, 0.2, 0.3, gamma=1e300))
+        half_trace = np.trace(analysis.random_admissible_observable(gen, 1).matrix).real / 2
+        values = [r.value for r in reconstruct.records_from_csv(csv_path)]
+        assert values == pytest.approx([half_trace] * 3, rel=1e-15)
 
     def test_duplicate_record_instants_exit_1(self, capsys, tmp_path):
         csv_path = tmp_path / "dup.csv"

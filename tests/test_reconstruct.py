@@ -67,6 +67,18 @@ FORMER_ROUNDING_HORIZON_POINTS = (
 )
 
 
+#: (generator, parameters, instant) at which eigh rounds the stationary
+#: eigenvalue negative, by enough that e^{lambda t} loses the trace: the qubit
+#: at gamma 1e300 (-2.5e283), the README qutrit point at gamma 1e100, and a
+#: qubit point at gamma 1 and t = 1e17.
+LATE_INSTANT_CASES = (
+    (generator_two_level, TwoLevelParams(0.1, 0.2, 0.3, gamma=1e300), 1.0),
+    (generator_three_level, ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.06, gamma=1e100), 1e-70),
+    (generator_two_level,
+     TwoLevelParams(0.5697191478592772, 0.1454599537609269, 0.19246349496833237), 1e17),
+)
+
+
 def count_decompositions(monkeypatch):
     """Record, in order, every numpy.linalg eigendecomposition made from
     now on."""
@@ -185,6 +197,22 @@ class TestEvolveAndMeasure:
             warnings.simplefilter("error")
             rho = evolve(gen, np.diag([0.0, 1.0, 0.0]), 1.0)
         np.testing.assert_allclose(rho, np.eye(3) / 3, atol=1e-12)
+        for build, params, t in LATE_INSTANT_CASES:
+            n = params.dim
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rho = evolve(build(params), np.diag(np.eye(n)[0]), t)
+            np.testing.assert_allclose(rho, np.eye(n) / n, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [-1.0, -1000.0, np.nan, np.inf])
+    def test_instants_outside_the_half_line_are_refused(self, t):
+        """Evolution takes finite instants t >= 0, as kraus_at does."""
+        grid = default_time_grid(GEN_2, 3)
+        result = execute(plan(GEN_2, Q_2, grid), simulate_records(GEN_2, Q_2, RHO_2, grid, "exact"))
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            evolve(GEN_2, RHO_2, t)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            reconstruct_trajectory(GEN_2, result, [0.5, t])
 
     def test_growing_mode_is_refused(self):
         with pytest.raises(ValueError, match="growing mode"):
@@ -229,6 +257,26 @@ class TestEvolveAndMeasure:
             simulate_records(GEN_2, q, np.eye(2) / 2, grid, shots, seed=1)
         with pytest.raises(ValueError, match="Hermitian"):
             measure(q, np.eye(2) / 2, shots, seed=1)
+
+    @pytest.mark.parametrize("shots", ["exact", 1000])
+    def test_observable_spec_is_accepted(self, shots):
+        spec = ObservableSpec.from_matrix(Q_2)
+        grid = default_time_grid(GEN_2, 3)
+        assert measure(spec, RHO_2, shots, seed=4) == measure(Q_2, RHO_2, shots, seed=4)
+        records = simulate_records(GEN_2, spec, RHO_2, grid, shots, seed=4)
+        assert records == simulate_records(GEN_2, Q_2, RHO_2, grid, shots, seed=4)
+
+    def test_observable_is_checked_once_per_campaign(self, monkeypatch):
+        calls = []
+        original = ObservableSpec.from_matrix
+
+        def counting(q):
+            calls.append(q)
+            return original(q)
+
+        monkeypatch.setattr(ObservableSpec, "from_matrix", staticmethod(counting))
+        simulate_records(GEN_2, Q_2, RHO_2, default_time_grid(GEN_2, 3), 100, seed=2)
+        assert len(calls) == 1
 
     def test_simulate_records_deterministic(self):
         grid = default_time_grid(GEN_2, 3)
