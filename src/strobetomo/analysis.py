@@ -24,7 +24,7 @@ symmetric) is diagonalizable, so ``_family_spectra`` reads eta (the largest
 cluster) and mu (the cluster count) off its eigenvalues alone: ``scan`` and
 ``analyze`` feed it closed-form eigenvalues (``channels._family_eigenvalues``,
 no eigensolver), and :func:`spectral_report`, :func:`optimality_report`,
-the default time grid and the plan the values of their ``matcore.eigh``.
+the default time grid and the plan the values of ``matcore.eigh``.
 ``analyze`` equals every scan row bit for bit, and the reports of a family
 generator agree with both to about 1e-12 relative on the discriminant.
 Only a non-Hermitian generator, such as a GKSL generator with a Hamiltonian
@@ -44,8 +44,10 @@ conjugate transpose of the generator matrix).  Admissibility takes a
 Hermitian generator, as both family generators are: then L* = L =
 V diag(lambda) V^dagger, and the span holds exactly when the spectrum is
 simple and every decaying eigen-coordinate c_k = <v_k, vec Q> is nonzero,
-which one eigendecomposition decides.  For qubits this reduces to the
-closed-form test A != B, C != 0, D != 0 on Q = [[A, C+iD], [C-iD, B]].
+which one eigendecomposition decides (:func:`span_report` and
+:func:`random_admissible_observable` also take it, a ``matcore.Eigensystem``).
+For qubits this reduces to the closed-form test A != B, C != 0, D != 0 on
+Q = [[A, C+iD], [C-iD, B]].
 Every function taking an observable takes a spec as it is and a matrix
 through :meth:`ObservableSpec.from_matrix`, which refuses a non-Hermitian one.
 """
@@ -322,20 +324,15 @@ def _family_report(values, tol: float | None) -> SpectralReport:
 def span_report(gen, observables, tol: float | None = None) -> SpanReport:
     """Do {I, Q_1, ...} and their orbits under L* span the operator space?
 
-    ``gen`` must be Hermitian (both family generators are), so one
-    :func:`~strobetomo.matcore.eigh`, L = V diag(lambda) V^dagger, gives
-    the Krylov matrix of Q as V diag(c) Vandermonde(lambda) with
-    eigen-coordinates c = V^dagger vec Q.  The observables therefore span
-    exactly when, on every eigenvalue cluster, the eigen-coordinates of the
-    norm-scaled {vec I, vec Q_1, ...} have full rank at ``tol``.
+    ``gen`` must be Hermitian (both family generators are) or its
+    ``matcore.Eigensystem``: L = V diag(lambda) V^dagger gives the Krylov
+    matrix of Q as V diag(c) Vandermonde(lambda) with eigen-coordinates
+    c = V^dagger vec Q.  The observables therefore span exactly when, on
+    every eigenvalue cluster, the eigen-coordinates of the norm-scaled
+    {vec I, vec Q_1, ...} have full rank at ``tol``.
     """
-    return _span_report(matcore.eigh(gen), observables, tol)
-
-
-def _span_report(eigensystem, observables, tol: float | None) -> SpanReport:
-    """:func:`span_report` on an eigensystem from ``matcore.eigh``."""
+    values, vectors = matcore.eigh(gen)
     tol = matcore._rank_tol(tol)
-    values, vectors = eigensystem
     n2 = values.size
     n = int(round(np.sqrt(n2)))
     cols = [vec(np.eye(n))]
@@ -404,7 +401,7 @@ def random_admissible_observable(
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             q = (x + x.conj().T) / 2.0
         obs = ObservableSpec.from_matrix(q)
-        if _span_report(eigensystem, [obs], tol).satisfied:
+        if span_report(eigensystem, [obs], tol).satisfied:
             return obs
     raise ValueError(
         f"no admissible observable found in {tries} tries; the generator is "

@@ -362,21 +362,13 @@ _BASES = {2: _PAULI, 3: _GELLMANN}
 @dataclass(frozen=True)
 class KrausFamily:
     """A time-parametrized Kraus set tied to one of the supported models;
-    ``model`` and ``dim`` are those of its parameter class."""
+    ``dim`` is that of its parameter class."""
 
     params: TwoLevelParams | ThreeLevelParams
 
     @property
-    def model(self) -> str:
-        return self.params.model
-
-    @property
     def dim(self) -> int:
         return self.params.dim
-
-    @property
-    def gamma(self) -> float:
-        return self.params.gamma
 
 
 def two_level_family(p: TwoLevelParams) -> KrausFamily:
@@ -392,9 +384,10 @@ def kraus_at(family: KrausFamily, t: float) -> list[np.ndarray]:
 
     The decay profile is ``kappa(t) = exp(-gamma t)``; at t = 0 every
     non-identity operator vanishes and the channel is the identity map.
+    ``t`` must be finite and >= 0, as the evolution rule's instants must.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:  # nan fails both
+        raise ValueError(f"instants must be finite and >= 0, got {t}")
     p = family.params
     decay = 1.0 - np.exp(-p.gamma * t)
     ops = [np.sqrt(1.0 - p.completeness_factor * decay) * np.eye(p.dim, dtype=complex)]

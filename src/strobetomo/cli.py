@@ -40,7 +40,7 @@ chunks over N processes with ``Pool.imap``, which keeps their order.
 ``analyze`` reads its spectral block off the same closed form and kernel,
 so a scan row equals ``analyze`` at the same point bit for bit, and the CSV
 is byte-identical whatever the chunk size or worker count.  ``reconstruct``
-gates on that eta too, and its stages read eta off their own ``eigh``.
+gates on that eta too, and hands one ``matcore.eigh`` to all its stages.
 Every subcommand thus takes the Hermitian route, the one
 :func:`~strobetomo.analysis.spectral_report` gives a Hermitian generator;
 discriminants agree with it to about 1e-12 relative.  In-process
@@ -315,12 +315,12 @@ def cmd_reconstruct(args) -> int:
         )
     if not args.observable and args.observable_seed is None:
         raise ValueError("provide --observable FILE or --observable-seed SEED")
-    gen = channels._family_generator(params)
+    system = matcore.eigh(channels._family_generator(params))  # the one decomposition
     try:  # the observable file wins over the seed
         if args.observable:
             obs = _load_observable(args.observable, params)
         else:
-            obs = analysis.random_admissible_observable(gen, args.observable_seed, tol=args.tol)
+            obs = analysis.random_admissible_observable(system, args.observable_seed, tol=args.tol)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot obtain observable: {exc}") from None
 
@@ -339,8 +339,12 @@ def cmd_reconstruct(args) -> int:
         shots: int | str = "exact" if args.shots == "exact" else int(args.shots)
         if shots != "exact" and args.seed is None:
             raise ValueError("finite shot counts require --seed for reproducibility")
-        grid = _build_grid(args.grid, gen, n * n - 1)
-        records = reconstruct.simulate_records(gen, obs, truth, grid, shots, seed=args.seed)
+        if args.grid == "default":
+            grid = reconstruct.default_time_grid(system, n * n - 1)
+        else:
+            instants = tuple(float(x) for x in args.grid.split(",") if x.strip() != "")
+            grid = reconstruct.TimeGrid(instants=instants, horizon=max(instants, default=0.0))
+        records = reconstruct.simulate_records(system, obs, truth, grid, shots, seed=args.seed)
         if args.records_out:
             text = io.StringIO()
             reconstruct.records_to_csv(records, text)
@@ -354,7 +358,7 @@ def cmd_reconstruct(args) -> int:
         ordered = sorted(instants)
         grid = reconstruct.TimeGrid(instants=tuple(ordered), horizon=ordered[-1])
 
-    plan_ = reconstruct.plan(gen, obs, grid, tol=args.tol)
+    plan_ = reconstruct.plan(system, obs, grid, tol=args.tol)
     result = reconstruct.execute(plan_, records, psd_project=args.psd_project)
 
     payload = {
@@ -378,13 +382,6 @@ def cmd_reconstruct(args) -> int:
     if truth is not None:
         payload["frobenius_error"] = float(np.linalg.norm(result.estimate - truth))
     return _emit(payload, args.output, EXIT_OK)
-
-
-def _build_grid(spec: str, gen, p: int) -> reconstruct.TimeGrid:
-    if spec == "default":
-        return reconstruct.default_time_grid(gen, p)
-    instants = tuple(float(x) for x in spec.split(",") if x.strip() != "")
-    return reconstruct.TimeGrid(instants=instants, horizon=max(instants, default=0.0))
 
 
 # ---------------------------------------------------------------------------

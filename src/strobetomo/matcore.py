@@ -26,11 +26,12 @@ module works on anything array-like but always returns ndarrays.
 Input that is Hermitian to 1e-12 of its largest entry (``_hermitian_part``,
 the package's one Hermitian test) takes :func:`eigh`, and any other input
 the general :func:`eig`.  A Hermitian generator (both family generators are
-real symmetric) is decomposed by :func:`eigh`: its eigenvalues settle eta and
-mu, and every evolution exp(L t) takes ``_semigroup``, the one rule for its
-modes, and through it :func:`propagate`.  Family
-generators are diagonal in ``_hermitian_basis``, so :mod:`.channels` reads
-their eigenvalues off it in closed form, with no solver.  :func:`eig`
+real symmetric) is decomposed once, into the :class:`Eigensystem` that
+:func:`eigh` returns and hands back unchanged, so every later stage can take
+it: its eigenvalues settle eta and mu, and every evolution exp(L t) takes
+``_semigroup``, the one rule for its modes, and through it :func:`propagate`.
+Family generators are diagonal in ``_hermitian_basis``, so :mod:`.channels`
+reads their eigenvalues off it in closed form, with no solver.  :func:`eig`
 serves the rest, non-normal matrices included, with null-space ranks for
 the geometric multiplicities.  Both routes cluster eigenvalues by the one
 rule ``_cluster_labels``.  The module uses numpy alone.
@@ -40,11 +41,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ConditioningError",
+    "Eigensystem",
     "NotReconstructible",
     "NumericalFailure",
     "Spectrum",
@@ -273,15 +276,23 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a
-    Hermitian matrix, ``m = V diag(values) V^dagger``.
+class Eigensystem(NamedTuple):
+    """Ascending eigenvalues and orthonormal eigenvector columns, m = V diag(values) V^dagger."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+
+def eigh(m) -> Eigensystem:
+    """The :class:`Eigensystem` of a Hermitian matrix, or ``m`` if it is one.
 
     Both family generators are Hermitian (real symmetric), so this one
     decomposition is complete and well conditioned for them.  A matrix that
     is not Hermitian to 1e-12 of its largest entry is rejected; one that is
     has its exactly Hermitian part decomposed.
     """
+    if isinstance(m, Eigensystem):
+        return m
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigh requires a square matrix, got shape {m.shape}")
@@ -289,10 +300,9 @@ def eigh(m) -> tuple[np.ndarray, np.ndarray]:
     if m is None:
         raise ValueError("eigh requires a Hermitian matrix (to 1e-12 of its largest entry)")
     try:
-        values, vectors = np.linalg.eigh(m)
+        return Eigensystem(*np.linalg.eigh(m))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    return values, vectors
 
 
 def propagate(eigensystem, x, times) -> np.ndarray:

@@ -16,10 +16,12 @@ its condition number measures the measurement design (observable and
 instants) and is gated at 1e8.
 
 Time grids, evolution and planning take a Hermitian, trace-preserving
-generator, as both family generators are.  Each stage runs its own
-``matcore.eigh`` of it, which gives eta (``analysis._family_spectra``) and,
-through ``matcore._semigroup``, the one evolution rule, the states, records
-and forward rows at all instants (finite, >= 0) at once.
+generator (both family generators are) or its ``matcore.Eigensystem``, and
+read everything off ``matcore.eigh`` of it, which returns an Eigensystem
+unchanged: a caller that decomposes once (``cli reconstruct``) pays for one.
+That gives eta (``analysis._family_spectra``) and, through the one evolution
+rule ``matcore._semigroup``, the states, records and forward rows at all
+instants (finite, >= 0) at once.
 
 Measurement simulation follows the Born rule on Q's eigenbasis with a
 multinomial shot model; per-instant substreams are spawned from one seed,
@@ -101,12 +103,8 @@ def default_time_grid(gen, p: int) -> TimeGrid:
     """
     if p < 1:
         raise ValueError(f"grid needs at least one instant, got p = {p}")
-    values = matcore.eigh(gen)[0]
-    eta = analysis._family_spectra(values[None]).eta[0]
-    if eta != 1:
-        raise NotReconstructible(
-            f"default grid requires an optimal generator (eta = 1), got eta = {eta}"
-        )
+    values = matcore.eigh(gen).values
+    _require_optimal(values, "default grid requires an optimal generator (eta = 1)")
     lam_max = float(np.max(np.abs(values)))
     if lam_max <= 0:
         raise ValueError("zero spectrum: no decay scale to set a horizon")
@@ -114,6 +112,13 @@ def default_time_grid(gen, p: int) -> TimeGrid:
     # The last instant is the horizon itself: p * T / p can round above T.
     instants = tuple((j + 1) * horizon / p for j in range(p - 1)) + (horizon,)
     return TimeGrid(instants=instants, horizon=horizon)
+
+
+def _require_optimal(values, requirement: str) -> None:
+    """The one eta gate: NotReconstructible "<requirement>, got eta = k" unless eta = 1."""
+    eta = analysis._family_spectra(values[None]).eta[0]
+    if eta != 1:
+        raise NotReconstructible(f"{requirement}, got eta = {eta}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,7 @@ def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     shots = int(shots)
     if not 1 <= shots < 2**63:  # the sampler's counts are 64-bit
         raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {shots}")
-    evals, evecs = np.linalg.eigh((q + q.conj().T) / 2.0)
+    evals, evecs = matcore.eigh(q)
     probs = np.real(np.einsum("ij,jk,ki->i", evecs.conj().T, rho, evecs))
     if np.min(probs) < -1e-8:
         raise ValueError(
@@ -255,40 +260,35 @@ class ReconstructionPlan:
 def plan(gen, q, grid: TimeGrid, tol: float | None = None) -> ReconstructionPlan:
     """Build and validate a reconstruction plan.
 
-    Requirements checked here: the generator is Hermitian and
-    trace-preserving and the grid has exactly p = n^2 - 1 distinct instants
+    Requirements checked here, on the generator's eigensystem alone: the
+    generator is Hermitian and trace-preserving (|lambda_k <v_k, vec I>| <=
+    1e-12 max|lambda|) and the grid has exactly p = n^2 - 1 distinct instants
     (else ValueError); the generator is optimal (eta = 1) and the
     observable passes the Krylov span check (else
     :class:`~strobetomo.matcore.NotReconstructible`); the reduced system is
     conditioned below 1e8 (else :class:`~strobetomo.matcore.ConditioningError`).
     """
-    gen = np.asarray(gen, dtype=complex)
     obs = analysis._observable(q)
     n = obs.dim
     n2 = n * n
-    if gen.shape != (n2, n2):
-        raise ValueError(f"generator shape {gen.shape} does not match observable dim {n}")
-    if np.max(np.abs(vec(np.eye(n)) @ gen)) > 1e-12 * np.max(np.abs(gen)):
-        raise ValueError("generator must be trace-preserving (vec(I)^dagger L = 0)")
-    eigensystem = matcore.eigh(gen)
-    eta = analysis._family_spectra(eigensystem[0][None]).eta[0]
-    if eta != 1:
-        raise NotReconstructible(
-            f"reconstruction from a single observable requires eta = 1, got eta = {eta}"
-        )
+    values, vectors = eigensystem = matcore.eigh(gen)
+    if values.size != n2:
+        raise ValueError(f"generator shape {vectors.shape} does not match observable dim {n}")
+    if np.abs(values * (vec(np.eye(n)) @ vectors)).max() > 1e-12 * np.abs(values).max():
+        raise ValueError("generator must be trace-preserving (L vec(I) = 0)")
+    _require_optimal(values, "reconstruction from a single observable requires eta = 1")
     if grid.p != n2 - 1:
         raise ValueError(
             f"single-observable reconstruction needs p = n^2 - 1 = {n2 - 1} instants, "
             f"got {grid.p}"
         )
-    if not analysis._span_report(eigensystem, [obs], tol).satisfied:
+    if not analysis.span_report(eigensystem, [obs], tol).satisfied:
         raise NotReconstructible("observable fails the Krylov span check (inadmissible)")
 
     # Forward rows: L* = L, so row j is exp(L t_j)[Q] in the basis B_u.  A
     # trace-preserving Hermitian L has the stationary mode vec(I)/sqrt(n),
     # which feeds column 0 alone (Tr Q / sqrt(n)); the traceless columns
     # evolve the other modes only.
-    values, vectors = eigensystem
     decaying = np.arange(n2) != np.argmin(np.abs(values))
     modes = (values[decaying], vectors[:, decaying])
     rows = matcore._semigroup(modes, vec(obs.matrix), grid.instants)

@@ -130,6 +130,15 @@ class TestObservableSpec:
         spec = ObservableSpec.from_matrix(np.eye(3))
         assert spec.a is None and spec.dim == 3
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: ObservableSpec.from_matrix(np.ones((2, 3))), "observable must be square"),
+        (lambda: span_report(GEN_2, [np.eye(3)]),
+         r"observable shape \(3, 3\) does not match generator dim 2"),
+    ], ids=["from_matrix non-square", "span_report wrong size"])
+    def test_malformed_observable_is_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 class TestSpectralReport:
     def test_optimal_two_level(self):

@@ -169,6 +169,21 @@ class TestKrausOperators:
         with pytest.raises(ValueError):
             kraus_at(family, -0.5)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_instants_outside_the_half_line_are_refused(self, t):
+        """The Kraus maps take the instants the evolution rule takes, with
+        its message: a NaN instant gave NaN operators, and inf the t -> inf
+        channel."""
+        family = two_level_family(WORKED_2)
+        with pytest.raises(ValueError, match="instants must be finite and >= 0"):
+            kraus_at(family, t)
+        with pytest.raises(ValueError, match="instants must be finite and >= 0"):
+            apply_kraus(family, t, np.eye(2) / 2)
+
+    def test_wrong_shape_state_is_refused(self):
+        with pytest.raises(ValueError, match=r"state must be 2x2, got \(3, 3\)"):
+            apply_kraus(two_level_family(WORKED_2), 0.5, np.eye(3) / 3)
+
     def test_channel_preserves_state_properties(self):
         rng = np.random.default_rng(12)
         family = three_level_family(WORKED_3)
@@ -229,6 +244,15 @@ class TestGenerators:
         rho = random_density(np.random.default_rng(13), 2)
         lhs = matcore.unvec(gen @ matcore.vec(rho), 2, 2)
         np.testing.assert_allclose(lhs, -1j * (h @ rho - rho @ h), atol=1e-13)
+
+    @pytest.mark.parametrize("h,jumps,rates,match", [
+        (np.zeros((2, 3)), (), (), "Hamiltonian must be square"),
+        (np.zeros((2, 2)), (pauli(1), pauli(2)), (0.5,), "one rate per jump operator"),
+        (np.zeros((2, 2)), (np.eye(3),), (0.5,), "share the Hamiltonian's shape"),
+    ], ids=["non-square H", "rate count", "jump shape"])
+    def test_lindblad_spec_refuses_malformed_data(self, h, jumps, rates, match):
+        with pytest.raises(ValueError, match=match):
+            LindbladSpec(hamiltonian=h, jump_operators=jumps, rates=rates)
 
     def test_lindblad_spec_validation(self):
         with pytest.raises(ValueError):

@@ -395,6 +395,55 @@ class TestReconstruct:
         err = assert_one_line_error(capsys, main(argv))
         assert err.startswith("error: cannot write output: ")
 
+    @pytest.mark.parametrize("rho,needle", [
+        (np.eye(3) / 3, "rho0 must be 2x2, got (3, 3)"),
+        ([[0.5, 0.1], [0.3, 0.5]], "rho0 must be Hermitian"),
+    ], ids=["wrong shape", "not Hermitian"])
+    def test_malformed_rho0_exits_1(self, capsys, tmp_path, rho, needle):
+        argv = self.reconstruct_args(tmp_path, rho0=write_matrix(tmp_path / "bad.json", rho))
+        assert needle in assert_one_line_error(capsys, main(argv))
+
+    @pytest.mark.parametrize("mode", [
+        "exact", "observable seed", "shots", "grid", "records, observable seed",
+        "records, observable file", "check-observable",
+    ])
+    def test_one_generator_eigh_per_command(self, capsys, tmp_path, monkeypatch, mode):
+        """The command decomposes the 4x4 generator once and hands that
+        eigensystem to every stage; Q's and the estimate's 2x2 eigh are
+        not the generator's."""
+        q = str(tmp_path / "q.json")
+        seeded = ["--observable-seed", "1"]
+        csv_path = str(tmp_path / "r.csv")
+        if mode.startswith("records"):
+            source = self.reconstruct_args(tmp_path, **{"records-out": csv_path})
+            if mode == "records, observable seed":
+                source = [a for a in source if a not in ("--observable", q)] + seeded
+            assert main(source) == 0
+            capsys.readouterr()
+        argv = {
+            "exact": self.reconstruct_args(tmp_path),
+            "observable seed": [a for a in self.reconstruct_args(tmp_path)
+                                if a not in ("--observable", q)] + seeded,
+            "shots": self.reconstruct_args(tmp_path, shots="1000", seed="7"),
+            "grid": self.reconstruct_args(tmp_path, grid="0.2,0.5,1.0"),
+            "records, observable seed": ["reconstruct", *WORKED_ARGS, *seeded, "--records", csv_path],
+            "records, observable file": ["reconstruct", *WORKED_ARGS, "--observable", q,
+                                         "--records", csv_path],
+            "check-observable": ["check-observable", *WORKED_ARGS, "--observable", q],
+        }[mode]
+        shapes = []
+        original = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        code, payload = run_json(capsys, argv)
+        assert code == 0 and payload is not None
+        assert shapes.count((4, 4)) == 1
+        assert set(shapes) <= {(4, 4), (2, 2)}
+
     def test_ill_conditioned_grid_exits_3(self, capsys, tmp_path):
         code = main(self.reconstruct_args(tmp_path, grid="50,55,60"))
         assert code == 3
@@ -1017,6 +1066,10 @@ class TestUsageErrors:
         (["analyze", "--model", "four-level", "--params", "0.1"], "--model"),
         ([], "command"),
         (["reconstruct", *WORKED_ARGS, "--observable-seed", "x"], "--observable-seed"),
+        (["reconstruct", *WORKED_ARGS], "provide --observable FILE or --observable-seed SEED"),
+        (["reconstruct", *WORKED_ARGS, "--observable-seed", "1"], "simulation mode needs --rho0"),
+        (["scan", "--model", "two-level", "--a1", "0:1", "--a2", "0.2", "--a3", "0.3"],
+         "range syntax is lo:hi:step, got '0:1'"),
     ])
     def test_exit_1_with_one_line(self, capsys, argv, needle):
         assert needle in assert_one_line_error(capsys, main(argv))

@@ -43,6 +43,14 @@ class TestVecConventions:
         with pytest.raises(ValueError):
             vec(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: matcore.as_matrix(np.zeros((0, 3))), r"axes must be nonempty, got shape \(0, 3\)"),
+        (lambda: matcore.unvec(np.zeros(5), 2, 2), "cannot reshape 5 entries into 2x2"),
+    ], ids=["as_matrix empty axis", "unvec wrong size"])
+    def test_malformed_input_is_refused(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 class TestEig:
     def test_simple_spectrum(self):

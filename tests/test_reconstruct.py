@@ -415,6 +415,20 @@ class TestRefusalTypes:
         with pytest.raises(verdict, match="span"):
             plan(GEN_2, np.diag([1.0, -1.0]), grid)
 
+    @pytest.mark.parametrize("call,match", [
+        (lambda: default_time_grid(GEN_2, 0), "grid needs at least one instant, got p = 0"),
+        (lambda: default_time_grid(np.zeros((1, 1)), 1), "zero spectrum"),
+        (lambda: expectation(1j * np.eye(2), np.eye(2) / 2), "non-negligible imaginary part"),
+        (lambda: measure(Q_2, np.zeros((2, 2)), 100, seed=1), "zero total probability"),
+        (lambda: MeasurementRecord(t=0.5, value=0.1, shots=0), "shot count must be >= 1, got 0"),
+        (lambda: records_from_csv(io.StringIO("t,value,shots\n\n\n")), "holds no records"),
+    ], ids=["grid p < 1", "grid zero generator", "imaginary expectation", "zero state",
+            "zero shots", "blank rows only"])
+    def test_malformed_input_is_refused(self, call, match):
+        with pytest.raises(ValueError, match=match) as err:
+            call()
+        assert not isinstance(err.value, matcore.NotReconstructible)
+
     @pytest.mark.parametrize("case", ["instant count", "shape", "trace"])
     def test_malformed_input_is_no_verdict(self, case):
         grid = default_time_grid(GEN_2, 3)
@@ -522,6 +536,10 @@ class TestRecordCsv:
         buf = io.StringIO("0.1,0.2,100\n")
         with pytest.raises(ValueError, match="header"):
             records_from_csv(buf)
+
+    def test_blank_rows_are_skipped(self):
+        buf = io.StringIO("t,value,shots\n\n0.25,-0.125,exact\n\n")
+        assert records_from_csv(buf) == [MeasurementRecord(t=0.25, value=-0.125, shots="exact")]
 
     def test_malformed_row(self):
         buf = io.StringIO("t,value,shots\n0.1,0.2\n")
