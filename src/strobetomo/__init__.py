@@ -4,7 +4,8 @@ The package answers three questions about a Markovian open quantum system
 with generator L:
 
 * **Can one observable reconstruct the state?**  Yes exactly when the
-  index of cyclicity is 1 (:func:`strobetomo.analysis.spectral_report`,
+  index of cyclicity, the size of the largest eigenvalue cluster of the
+  Hermitian generator, is 1 (:func:`strobetomo.analysis.spectral_report`,
   :func:`strobetomo.analysis.optimality_report`).
 * **Which observables work?**  Those passing the Krylov span check, read
   off one Hermitian eigendecomposition of the generator

@@ -8,28 +8,25 @@ the regime where a single observable suffices.
 
 Three equivalent certificates are wired together here and cross-reported:
 
-* eta computed from clustered eigenvalues: the largest cluster for a
-  Hermitian generator, the largest null-space rank for any other;
+* eta computed from clustered eigenvalues: the largest cluster;
 * the discriminant D = prod_{i<j} (lambda_i - lambda_j)^2, nonzero exactly
   when the spectrum is simple (simple spectrum => nonderogatory => eta = 1
   for diagonalizable generators);
-* the minimal-polynomial degree mu, the sum of the eigenvalue indices read
-  off the same clustered eigendecomposition (for a diagonalizable
-  generator, the number of distinct eigenvalues).
+* the minimal-polynomial degree mu, the number of distinct eigenvalues
+  (every index of a diagonalizable generator is 1).
 
-There is one spectral route per kind of input: Hermitian input takes
-``matcore.eigh`` and the cluster kernel, and any other input takes
-``matcore.eig``.  A Hermitian generator (both family generators are real
-symmetric) is diagonalizable, so ``_family_spectra`` reads eta (the largest
+There is one spectral route: a generator must be Hermitian, as both family
+generators are (real symmetric), or its ``matcore.Eigensystem``.  It is
+then diagonalizable, so ``_family_spectra`` reads eta (the largest
 cluster) and mu (the cluster count) off its eigenvalues alone: ``scan`` and
 ``analyze`` feed it closed-form eigenvalues (``channels._family_eigenvalues``,
 no eigensolver), and :func:`spectral_report`, :func:`optimality_report`,
 the default time grid and the plan the values of ``matcore.eigh``.
 ``analyze`` equals every scan row bit for bit, and the reports of a family
 generator agree with both to about 1e-12 relative on the discriminant.
-Only a non-Hermitian generator, such as a GKSL generator with a Hamiltonian
-or non-normal jumps, takes :func:`matcore.eig` (complex eigenvalues plus one
-SVD per cluster), Jordan blocks included.
+A non-Hermitian generator, such as a GKSL generator with a Hamiltonian or
+non-normal jumps, is refused with ValueError by every function here that
+takes a generator.
 
 For a nonderogatory n^2 x n^2 generator mu equals n^2.  A widely quoted
 variant of this equivalence states mu = n^2 - 1 instead; that value is
@@ -81,13 +78,13 @@ class SpectralReport:
     """Clustered spectrum, the derived tomography indices and the
     cross-checked optimality certificates, all read off ``spectrum``.
 
-    ``clusters`` holds (eigenvalue, algebraic, geometric) triples sorted by
-    (real, imaginary) part; ``eta`` is the maximum geometric multiplicity;
-    ``mu`` the minimal-polynomial degree, the sum of the eigenvalue indices;
-    ``discriminant`` the pairwise product over cluster representatives
-    (exactly zero whenever any cluster has algebraic multiplicity > 1).  On
-    a Hermitian generator geometric = algebraic, so eta is the largest
-    cluster and ``tolerance`` decides nothing.
+    ``clusters`` holds ascending (eigenvalue, algebraic, geometric)
+    triples; ``eta`` is the maximum geometric multiplicity; ``mu`` the
+    minimal-polynomial degree; ``discriminant`` the pairwise product over
+    the eigenvalues (exactly zero whenever any cluster has algebraic
+    multiplicity > 1).  The generator is Hermitian, so geometric =
+    algebraic, eta is the largest cluster, mu the cluster count and
+    ``tolerance`` decides nothing.
 
     ``optimal`` is the operative verdict (eta = 1).  ``mu_nonderogatory``
     (= n^2) is the mu implied by a simple spectrum, while
@@ -231,25 +228,13 @@ class SpanReport:
 
 def spectral_report(gen, tol: float | None = None) -> SpectralReport:
     """Spectrum, index of cyclicity, min-poly degree and discriminant, all
-    from one clustered eigendecomposition.  A finite square ``gen`` that is
-    Hermitian to 1e-12 of its largest entry (the one test,
-    ``matcore._hermitian_part``) goes through
-    :func:`~strobetomo.matcore.eigh` and the cluster kernel, as ``analyze``
-    does; any other square generator through
-    :func:`~strobetomo.matcore.eig`.  Both tests are relative, like eig's
-    own tolerances, so the route and the report do not depend on the
-    matrix's scale.  The discriminant is zero when any cluster merges and is
-    taken over the real parts when the spectrum is real."""
-    m = np.asarray(gen, dtype=complex)
-    if m.ndim == 2 and m.shape[0] == m.shape[1] and m.size and np.isfinite(m).all():
-        if matcore._hermitian_part(m) is not None:
-            return _family_report(matcore.eigh(m)[0][None], tol)
-    spectrum = matcore.eig(gen, tol=tol)
-    values = spectrum.eigenvalues
-    disc = 0.0
-    if len(spectrum.clusters) == spectrum.dim:
-        disc = _discriminant(values if values.imag.any() else values.real)
-    return SpectralReport(spectrum=spectrum, discriminant=complex(disc))
+    read off the eigenvalues of ``gen``, a Hermitian generator or its
+    ``matcore.Eigensystem``, by :func:`~strobetomo.matcore.eigh` and the
+    cluster kernel, as ``analyze`` reads them off the closed form.  A
+    matrix that is not square, finite and Hermitian to 1e-12 of its largest
+    entry is refused with ValueError.  The discriminant is zero when any
+    cluster merges."""
+    return _family_report(matcore.eigh(gen).values[None], tol)
 
 
 optimality_report = spectral_report
@@ -288,11 +273,10 @@ def _family_spectra(values) -> _FamilySpectra:
     zero when any cluster merges.  No rank tolerance enters.
 
     Each row depends on its own eigenvalues alone, so a stack of k gives
-    the bits of k separate calls.  It is the kernel of every Hermitian
-    input, :func:`spectral_report`'s included; the general route
-    (:func:`matcore.eig`) serves non-Hermitian input only.
+    the bits of k separate calls.  It is the kernel of every spectral
+    report, :func:`spectral_report`'s included.
     """
-    labels = matcore._cluster_labels(values)[0]
+    labels = matcore._cluster_labels(values)
     # A cluster is a run of equal labels: eta is the longest run.
     index = np.arange(values.shape[1])
     starts = np.maximum.accumulate(np.where(np.diff(labels, prepend=-1) != 0, index, 0), axis=1)
@@ -303,7 +287,7 @@ def _family_spectra(values) -> _FamilySpectra:
 
 
 def _family_report(values, tol: float | None) -> SpectralReport:
-    """:class:`SpectralReport` of one family generator from its ascending
+    """:class:`SpectralReport` of one Hermitian generator from its ascending
     eigenvalues, shape (1, N): the row of :func:`_family_spectra`, so it
     equals any scan row of the same point bit for bit.  Each cluster is
     (mean, size, size); ``tol`` is only reported."""
@@ -347,7 +331,7 @@ def span_report(gen, observables, tol: float | None = None) -> SpanReport:
 
     rank, margin = 0, np.inf
     row_norms = np.linalg.norm(coords, axis=1)  # a one-row block's singular value
-    labels = matcore._cluster_labels(values)[0]
+    labels = matcore._cluster_labels(values)
     starts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist()
     for a, b in zip(starts, starts[1:] + [n2]):  # cluster a:b
         if b - a == 1:

@@ -41,10 +41,10 @@ chunks over N processes with ``Pool.imap``, which keeps their order.
 so a scan row equals ``analyze`` at the same point bit for bit, and the CSV
 is byte-identical whatever the chunk size or worker count.  ``reconstruct``
 gates on that eta too, and hands one ``matcore.eigh`` to all its stages.
-Every subcommand thus takes the Hermitian route, the one
-:func:`~strobetomo.analysis.spectral_report` gives a Hermitian generator;
-discriminants agree with it to about 1e-12 relative.  In-process
-:func:`main` calls share one argument parser.
+Every subcommand thus reads clustered eigenvalues of a Hermitian generator,
+as :func:`~strobetomo.analysis.spectral_report` does; discriminants agree
+with it to about 1e-12 relative.  In-process :func:`main` calls share one
+argument parser.
 """
 
 from __future__ import annotations

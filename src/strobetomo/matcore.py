@@ -2,9 +2,8 @@
 
 Everything in this package runs through a handful of primitives collected
 here: column-major vectorization, the fixed orthonormal Hermitian basis,
-the general spectral decomposition with degeneracy clustering, and the
-Hermitian eigendecomposition with the matrix-exponential action read off
-it.
+the one eigenvalue clustering rule, and the Hermitian eigendecomposition
+with the matrix-exponential action read off it.
 
 Conventions fixed once and for all:
 
@@ -14,27 +13,25 @@ Conventions fixed once and for all:
 * Numerical rank uses a *relative* singular-value cutoff, default
   ``1e-9``; every function in the package taking a ``tol`` argument reads
   ``None`` as that default.
-* Eigenvalues are reported sorted by (real, imaginary) part, and
-  neighbours within ``1e-8`` of each other relative to the larger of the
-  spectral diameter and the spectral norm chain into clusters before
-  multiplicities and indices are computed: numerical eigensolvers never
-  return exactly equal values for a degenerate pair.
+* Eigenvalues are reported ascending, and neighbours within ``1e-8`` of
+  each other relative to the larger of the spectral diameter and the
+  spectral norm chain into clusters before multiplicities are counted:
+  numerical eigensolvers never return exactly equal values for a
+  degenerate pair.
 
 Matrices are plain ``numpy.ndarray`` objects with complex dtype; the
 module works on anything array-like but always returns ndarrays.
 
 Input that is Hermitian to 1e-12 of its largest entry (``_hermitian_part``,
-the package's one Hermitian test) takes :func:`eigh`, and any other input
-the general :func:`eig`.  A Hermitian generator (both family generators are
-real symmetric) is decomposed once, into the :class:`Eigensystem` that
+the package's one Hermitian test) is decomposed by :func:`eigh`, and any
+other input is refused: both family generators are real symmetric.  A
+generator is decomposed once, into the :class:`Eigensystem` that
 :func:`eigh` returns and hands back unchanged, so every later stage can take
-it: its eigenvalues settle eta and mu, and every evolution exp(L t) takes
-``_semigroup``, the one rule for its modes, and through it :func:`propagate`.
-Family generators are diagonal in ``_hermitian_basis``, so :mod:`.channels`
-reads their eigenvalues off it in closed form, with no solver.  :func:`eig`
-serves the rest, non-normal matrices included, with null-space ranks for
-the geometric multiplicities.  Both routes cluster eigenvalues by the one
-rule ``_cluster_labels``.  The module uses numpy alone.
+it: its eigenvalues settle eta and mu by ``_cluster_labels``, and every
+evolution exp(L t) takes ``_semigroup``, the one rule for its modes, and
+through it :func:`propagate`.  Family generators are diagonal in
+``_hermitian_basis``, so :mod:`.channels` reads their eigenvalues off it in
+closed form, with no solver.  The module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ __all__ = [
     "as_matrix",
     "vec",
     "unvec",
-    "eig",
     "eigh",
     "propagate",
 ]
@@ -159,11 +155,12 @@ def _hermitian_basis(n: int) -> np.ndarray:
 class Spectrum:
     """Eigenvalues with algebraic multiplicity plus degeneracy clustering.
 
-    ``eigenvalues`` lists all values (algebraic multiplicity), sorted by
-    (real, imaginary).  ``clusters`` groups numerically coincident values:
-    one ``(representative, algebraic, geometric)`` triple per cluster, in
-    the same ordering.  ``min_poly_degree`` is the degree of the minimal
-    polynomial: the sum over clusters of the eigenvalue's index.
+    ``eigenvalues`` lists all values (algebraic multiplicity), ascending.
+    ``clusters`` groups numerically coincident values: one
+    ``(representative, algebraic, geometric)`` triple per cluster, in the
+    same ordering.  The spectrum is a Hermitian generator's, so geometric =
+    algebraic, every index is 1 and ``min_poly_degree`` (mu, the degree of
+    the minimal polynomial) is the cluster count.
     """
 
     eigenvalues: np.ndarray
@@ -180,86 +177,20 @@ class Spectrum:
         return max(c[2] for c in self.clusters)
 
 
-def _cluster_labels(values: np.ndarray, norm=None) -> tuple[np.ndarray, np.ndarray]:
-    """The one clustering rule: labels, from 0, of eigenvalues sorted along
-    the last axis, and the absolute tolerance per leading index.
+def _cluster_labels(values: np.ndarray) -> np.ndarray:
+    """The one clustering rule: labels, from 0, of the ascending spectra of
+    Hermitian matrices m along the last axis.
 
-    Neighbours closer than ``CLUSTER_TOL`` x max(spectral diameter, ``norm``)
-    chain into one cluster; ``norm`` is ||m||_2.  Without it the values are
-    the ascending spectrum of a Hermitian m: diameter and norm sit at the ends.
+    Neighbours closer than ``CLUSTER_TOL`` x max(spectral diameter, ||m||_2)
+    chain into one cluster; diameter and norm sit at the ends of the values.
     """
-    if norm is None:
-        diameter = values[..., -1] - values[..., 0]
-        norm = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
-    else:
-        diameter = np.max(np.abs(values[..., :, None] - values[..., None, :]), axis=(-2, -1))
+    diameter = values[..., -1] - values[..., 0]
+    norm = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
     tol_abs = CLUSTER_TOL * np.maximum(diameter, norm)
     labels = np.zeros(values.shape, dtype=int)
     gaps = np.abs(np.diff(values, axis=-1))
     np.cumsum(gaps > tol_abs[..., None], axis=-1, out=labels[..., 1:])
-    return labels, tol_abs
-
-
-def _nullity(m: np.ndarray, tol: float, tol_abs: float) -> int:
-    """Numerical null-space dimension: singular values at or below
-    ``max(tol * sigma_max, tol_abs)``, or all of them when ``m`` is zero."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0:
-        return sv.size
-    return int(np.sum(sv <= max(tol * sv[0], tol_abs)))
-
-
-def eig(m, tol: float | None = None) -> Spectrum:
-    """Full spectrum with clustered multiplicities and indices.
-
-    Eigenvalues are sorted by (real, imaginary) part.  Neighbours within
-    ``CLUSTER_TOL`` x max(spectral diameter, ||m||_2) chain into one
-    degenerate cluster of algebraic multiplicity ``a``.  The norm floor
-    stops a spectrum that is one perturbed defective eigenvalue from being
-    clustered at the scale of its own spread; that spread, about
-    sqrt(eps) ||m|| for an index of 2, is close to the floor, so such a
-    cluster can still split.  Its geometric multiplicity is the numerical
-    nullity of ``m - lambda I`` at the given rank tolerance;
-    its index is the smallest k >= 1 at which the nullity of
-    ``(m - lambda I)^k`` reaches ``a``.  Clusters with geometric = algebraic
-    multiplicity (every cluster of a diagonalizable ``m``) have index 1 and
-    take no power beyond the first.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise ValueError(f"eig requires a nonempty square matrix, got shape {m.shape}")
-    tol = _rank_tol(tol)
-    try:
-        values = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-
-    values = values[np.lexsort((values.imag, values.real))]
-    dim = m.shape[0]
-    labels, tol_abs = _cluster_labels(values, np.linalg.norm(m, 2))
-
-    clusters: list[tuple[complex, int, int]] = []
-    mu = 0
-    starts = np.flatnonzero(np.diff(labels, prepend=-1)).tolist()
-    for a, b in zip(starts, starts[1:] + [dim]):  # cluster a:b
-        rep = complex(np.mean(values[a:b]))
-        alg = b - a
-        shifted = m - rep * np.eye(dim)
-        geo = max(1, min(_nullity(shifted, tol, tol_abs), alg))
-        index, nullity, power = 1, geo, shifted
-        while nullity < alg and index < alg:  # defective cluster: raise the power
-            index += 1
-            power = power @ shifted
-            nullity = _nullity(power, tol, tol_abs)
-        clusters.append((rep, alg, geo))
-        mu += index
-
-    return Spectrum(
-        eigenvalues=values,
-        clusters=tuple(clusters),
-        tolerance=tol,
-        min_poly_degree=mu,
-    )
+    return labels
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray | None:

@@ -33,7 +33,7 @@ from strobetomo.channels import (
     validate_three_level,
 )
 from strobetomo import matcore
-from strobetomo.matcore import CLUSTER_TOL, NumericalFailure, _hermitian_basis, vec
+from strobetomo.matcore import CLUSTER_TOL, _hermitian_basis, vec
 from strobetomo.reconstruct import default_time_grid
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
@@ -181,14 +181,11 @@ class TestSpectralReport:
         assert report.mu == 1
 
     def test_mu_of_defective_jordan_inputs(self):
-        """mu sums the eigenvalue indices: the size of the largest Jordan
-        block of each eigenvalue."""
-        report = spectral_report(jordan((-1.0, 3), (-2.0, 1)))
-        assert (report.eta, report.mu) == (1, 4)
-        report = spectral_report(jordan((-1.0, 2), (-1.0, 2)))
-        assert (report.eta, report.mu) == (2, 2)
-        report = spectral_report(jordan((-1.0, 3), (-1.0, 1)))
-        assert (report.eta, report.mu) == (2, 3)
+        """A defective input, whose mu would sum Jordan block sizes, is not
+        Hermitian: no report is made of it."""
+        for blocks in (((-1.0, 3), (-2.0, 1)), ((-1.0, 2), (-1.0, 2)), ((-1.0, 3), (-1.0, 1))):
+            with pytest.raises(ValueError, match="Hermitian"):
+                spectral_report(jordan(*blocks))
 
     def test_simple_spectrum_with_a_small_vandermonde_share(self):
         """A simple qutrit spectrum whose ninth power of L keeps only ~3e-10
@@ -229,25 +226,27 @@ def family_report(gen, tol):
     return _family_report(np.linalg.eigvalsh(np.asarray(gen)[None]), tol)
 
 
-def general_route(gen, tol=None):
-    """(eta, mu, discriminant) of the independent general route: the
-    clustered spectrum of ``matcore.eig``, with its nullity counts, and the
-    pairwise product over its eigenvalues (zero when a cluster merges)."""
-    spectrum = matcore.eig(gen, tol=tol)
-    values = spectrum.eigenvalues
-    values = values if values.imag.any() else values.real
+def general_route(gen):
+    """(cluster sizes, eta, mu, discriminant) of an independent reference:
+    numpy's general eigensolver, which assumes no symmetry, the gap rule
+    written out (``chained_sizes``) and the pairwise product over its
+    eigenvalues (zero when a cluster merges)."""
+    solved = np.linalg.eigvals(np.asarray(gen))
+    values = np.sort(solved.real)
+    assert np.abs(solved.imag).max() <= CLUSTER_TOL * np.abs(values).max()
+    sizes = chained_sizes(values.tolist())
     i, j = np.triu_indices(values.size, 1)
-    disc = np.prod((values[i] - values[j]) ** 2) if len(spectrum.clusters) == values.size else 0
-    return spectrum, spectrum.max_geometric_multiplicity, spectrum.min_poly_degree, complex(disc)
+    disc = np.prod((values[i] - values[j]) ** 2) if len(sizes) == values.size else 0
+    return sizes, max(sizes), len(sizes), complex(disc)
 
 
 def assert_matches_general_route(gen, tol):
-    """The kernel's report equals matcore.eig's: same clusters, eta and mu,
-    discriminants within 1e-12 relative (zero together)."""
+    """The kernel's report equals the general route's: same clusters, eta
+    and mu, discriminants within 1e-12 relative (zero together)."""
     fast = family_report(gen, tol)
-    spectrum, eta, mu, disc = general_route(gen, tol)
-    assert (fast.eta, fast.mu, fast.tolerance) == (eta, mu, spectrum.tolerance)
-    assert [c[1:] for c in fast.spectrum.clusters] == [c[1:] for c in spectrum.clusters]
+    sizes, eta, mu, disc = general_route(gen)
+    assert (fast.eta, fast.mu, fast.tolerance) == (eta, mu, tol)
+    assert [c[1:] for c in fast.spectrum.clusters] == [(a, a) for a in sizes]
     if disc == 0:
         assert fast.discriminant == 0
     else:
@@ -257,9 +256,9 @@ def assert_matches_general_route(gen, tol):
 tols = st.sampled_from([1e-9, 1e-6])
 
 
-def chained_clusters(values):
-    """(largest cluster, number of clusters) of a real spectrum, by plain
-    adjacent-gap chaining at CLUSTER_TOL * max(diameter, max |lambda|)."""
+def chained_sizes(values):
+    """Cluster sizes of a real spectrum, ascending, by plain adjacent-gap
+    chaining at CLUSTER_TOL * max(diameter, max |lambda|)."""
     v = sorted(values)
     cut = CLUSTER_TOL * max(v[-1] - v[0], max(abs(x) for x in v))
     sizes = [1]
@@ -268,6 +267,12 @@ def chained_clusters(values):
             sizes.append(1)
         else:
             sizes[-1] += 1
+    return sizes
+
+
+def chained_clusters(values):
+    """(largest cluster, number of clusters) of a real spectrum, by ``chained_sizes``."""
+    sizes = chained_sizes(values)
     return max(sizes), len(sizes)
 
 
@@ -330,7 +335,7 @@ class TestFamilySpectra:
     @given(a=st.one_of(lattice_two_level(), lattice_three_level()), gamma=gammas)
     def test_default_grid_refuses_exactly_where_eta_exceeds_1(self, a, gamma):
         """The campaign reads eta off its own eigh; it refuses a default grid
-        exactly where the general route finds eta > 1."""
+        exactly where the spectral report finds eta > 1."""
         if len(a) == 3:
             gen = generator_two_level(TwoLevelParams(*a, gamma=gamma))
         else:
@@ -344,9 +349,9 @@ class TestFamilySpectra:
             default_time_grid(gen, 3)
 
     def test_cluster_tolerance_floors_the_rank_cut(self):
-        """At a tiny rank tolerance the rounding spread of a tied pair (1e-16
-        here, from a1 = a2) still counts as two null directions in
-        matcore.eig's nullity count, as in the kernel's cluster."""
+        """The rank tolerance decides nothing: at a tiny one the rounding
+        spread of a tied pair (1e-16 here, from a1 = a2) is still under the
+        cluster cut, so the pair is one cluster, as the general route finds."""
         gen = generator_three_level(ThreeLevelParams(0.1, 0.1, 0.2, 0.05, 0.08, 0.06))
         for tol in (1e-300, 1e-9):
             assert_matches_general_route(gen, tol)
@@ -438,22 +443,29 @@ def hermitian_lindblad_generators(seed, count):
 
 
 def count_spectral_calls(monkeypatch):
-    """Names of the ``matcore.eig`` and ``matcore.eigh`` calls from now on."""
+    """Names of the ``matcore.eigh`` calls and of numpy's general eigensolver
+    calls (``eig``, ``eigvals``) from now on."""
     calls = []
-    for name in ("eig", "eigh"):
-        original = getattr(matcore, name)
+    for module, name in ((matcore, "eigh"), (np.linalg, "eig"), (np.linalg, "eigvals")):
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(matcore, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
+def gksl_with_hamiltonian(scale):
+    """A GKSL generator with a Hamiltonian and a non-normal jump: not Hermitian."""
+    lowering = np.array([[0, 1], [0, 0]], dtype=complex)
+    return generator_from_lindblad(LindbladSpec(scale * pauli(3), (lowering,), (scale,)))
+
+
 class TestSpectralRoute:
-    """Hermitian input takes matcore.eigh and the cluster kernel; any other
-    input takes matcore.eig."""
+    """Every report takes matcore.eigh and the cluster kernel; input that
+    eigh refuses is refused with ValueError."""
 
     def test_chain_point_is_one_cluster_of_four(self):
         """The reports read the chain as analyze and scan do (see
@@ -475,6 +487,7 @@ class TestSpectralRoute:
             assert (report.discriminant == 0) == (disc == 0)
 
     def test_hermitian_input_never_takes_eig(self, monkeypatch):
+        """Each report takes one eigh and no general eigensolver."""
         gens = [GEN_2, GEN_3, np.zeros((4, 4)), generator_three_level(CHAIN_POINT),
                 1e-200 * GEN_3, 1e200 * GEN_3, *hermitian_lindblad_generators(seed=3, count=4)]
         calls = count_spectral_calls(monkeypatch)
@@ -483,50 +496,103 @@ class TestSpectralRoute:
             optimality_report(gen)
         assert calls == ["eigh"] * 2 * len(gens)
 
-    def test_other_input_takes_eig_once(self, monkeypatch):
-        calls = count_spectral_calls(monkeypatch)
-        report = spectral_report(jordan((-1.0, 2), (-2.0, 2)))
-        assert (report.eta, report.mu) == (1, 4)
-        assert calls.count("eig") == 1
-        spec = LindbladSpec(hamiltonian=pauli(3), jump_operators=(pauli(1),), rates=(0.5,))
-        optimality_report(generator_from_lindblad(spec))
-        assert calls.count("eig") == 2
+    def test_other_input_is_refused(self):
+        """A defective matrix, and a GKSL generator with a Hamiltonian: no
+        eta is reported for either."""
+        for gen in (jordan((-1.0, 2), (-2.0, 2)), gksl_with_hamiltonian(0.5)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                spectral_report(gen)
+            with pytest.raises(ValueError, match="Hermitian"):
+                optimality_report(gen)
 
     @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
-    def test_route_does_not_depend_on_scale(self, monkeypatch, scale):
-        """A non-Hermitian matrix takes eig at any scale, also where its
+    def test_route_does_not_depend_on_scale(self, scale):
+        """A non-Hermitian matrix is refused at any scale, also where its
         asymmetry is below 1e-12 in absolute terms: a defective block, and a
         GKSL generator with a Hamiltonian and a non-normal jump at a small
-        rate, read the same eta and mu at every scale."""
-        lowering = np.array([[0, 1], [0, 0]], dtype=complex)
-        gksl = generator_from_lindblad(LindbladSpec(scale * pauli(3), (lowering,), (scale,)))
-        calls = count_spectral_calls(monkeypatch)
-        for gen, expected in ((scale * jordan((-1.0, 2)), (1, 2)), (gksl, (1, 4))):
-            report = spectral_report(gen)
-            assert (report.eta, report.mu) == expected
-        assert calls == ["eig", "eig"]
+        rate."""
+        for gen in (scale * jordan((-1.0, 2)), gksl_with_hamiltonian(scale)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                spectral_report(gen)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_is_a_numerical_failure(self, bad):
+    def test_non_finite_input_is_a_value_error(self, bad):
         gen = np.array(GEN_2)
         gen[1, 1] = bad
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(ValueError, match="finite"):
             spectral_report(gen)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(ValueError, match="finite"):
             optimality_report(gen)
 
     @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2), (0, 0)])
     def test_non_square_input_is_a_value_error(self, shape):
-        with pytest.raises(ValueError, match="square"):
+        match = r"square|2-D|nonempty"
+        with pytest.raises(ValueError, match=match):
             spectral_report(np.zeros(shape))
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match=match):
             optimality_report(np.zeros(shape))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_bad_tolerance_is_a_value_error_on_either_route(self, tol):
-        for gen in (GEN_2, jordan((-1.0, 2))):
+        """A matrix or its Eigensystem."""
+        for gen in (GEN_2, matcore.eigh(GEN_2)):
             with pytest.raises(ValueError, match="tolerance"):
                 spectral_report(gen, tol)
+
+
+@st.composite
+def planted_spectra(draw):
+    """(m, multiplicities, scale): m = Q diag(planted) Q^T with Q a seeded
+    random orthogonal matrix; the planted values are distinct integers in
+    [-9, 9] times the scale, each repeated its multiplicity times, and the
+    multiplicities come in ascending order of their values."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    distinct = draw(st.lists(st.integers(-9, 9), min_size=len(sizes), max_size=len(sizes),
+                             unique=True))
+    scale = 10.0 ** draw(st.integers(-13, 13))
+    distinct, sizes = zip(*sorted(zip(distinct, sizes)))  # sizes in ascending order
+    planted = np.repeat(np.array(distinct, dtype=float) * scale, sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.normal(size=(planted.size, planted.size)))[0]
+    return q @ np.diag(planted) @ q.T, sizes, scale
+
+
+class TestPlantedSpectrum:
+    """Reports of Hermitian matrices with planted multiplicities, at scales
+    1e-13 to 1e13; non-Hermitian matrices are refused at every scale."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(planted=planted_spectra())
+    def test_eta_and_mu_are_the_planted_counts(self, planted):
+        m, sizes, _ = planted
+        report = spectral_report(m)
+        assert (report.eta, report.mu) == (max(sizes), len(sizes))
+        assert [c[1:] for c in report.spectrum.clusters] == [(a, a) for a in sizes]
+        assert (report.discriminant == 0) == (max(sizes) > 1)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(planted=planted_spectra())
+    def test_eigensystem_gives_the_same_bits(self, planted):
+        m = planted[0]
+        direct, passed = spectral_report(m), spectral_report(matcore.eigh(m))
+        np.testing.assert_array_equal(direct.spectrum.eigenvalues, passed.spectrum.eigenvalues)
+        assert direct.spectrum.clusters == passed.spectrum.clusters
+        assert direct.discriminant == passed.discriminant
+        assert (direct.mu, direct.tolerance) == (passed.mu, passed.tolerance)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(planted=planted_spectra(), kind=st.sampled_from(["jordan", "random"]))
+    def test_non_hermitian_is_refused_at_every_scale(self, planted, kind):
+        """A Jordan block at the planted scale, or a random non-normal matrix
+        of the planted size and scale."""
+        m, sizes, scale = planted
+        rng = np.random.default_rng(len(sizes))
+        if kind == "jordan":
+            bad = scale * jordan((-1.0, max(2, m.shape[0])))
+        else:
+            bad = scale * rng.normal(size=(max(2, m.shape[0]),) * 2)
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectral_report(bad)
 
 
 class TestOptimalityReport:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from strobetomo import matcore
+from strobetomo.analysis import spectral_report
 from strobetomo.matcore import (
+    CLUSTER_TOL,
     NumericalFailure,
-    eig,
     eigh,
     propagate,
     unvec,
@@ -52,69 +53,76 @@ class TestVecConventions:
             call()
 
 
+def random_orthogonal(seed, n):
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+
+
 class TestEig:
+    """Eigen-analysis of small matrices, through ``spectral_report``: one
+    ``eigh`` and the clustering rule.  Defective input is not Hermitian and
+    is refused."""
+
     def test_simple_spectrum(self):
-        m = np.diag([1.0, 2.0, 3.0])
-        spec = eig(m)
-        np.testing.assert_allclose(spec.eigenvalues, [1.0, 2.0, 3.0])
-        assert spec.max_geometric_multiplicity == 1
-        assert [alg for _, alg, _ in spec.clusters] == [1, 1, 1]
+        report = spectral_report(np.diag([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(report.spectrum.eigenvalues, [1.0, 2.0, 3.0])
+        assert report.eta == 1
+        assert [alg for _, alg, _ in report.spectrum.clusters] == [1, 1, 1]
 
     def test_diagonalizable_degeneracy(self):
         """Repeated eigenvalue with full eigenspace: geometric = algebraic."""
-        spec = eig(np.diag([2.0, 2.0, 5.0]))
-        mults = {round(rep.real): (alg, geo) for rep, alg, geo in spec.clusters}
-        assert mults[2] == (2, 2)
-        assert mults[5] == (1, 1)
-        assert spec.max_geometric_multiplicity == 2
+        report = spectral_report(np.diag([2.0, 2.0, 5.0]))
+        assert report.spectrum.clusters == ((2.0 + 0j, 2, 2), (5.0 + 0j, 1, 1))
+        assert report.eta == 2
 
     def test_jordan_block_is_defective(self):
-        """A 2x2 Jordan block has algebraic 2 but geometric 1."""
+        """A 2x2 Jordan block has algebraic multiplicity 2 but geometric 1;
+        it is not Hermitian, so no report is made of it."""
         m = np.array([[3.0, 1.0], [0.0, 3.0]])
-        spec = eig(m)
-        assert spec.clusters == ((3.0 + 0j, 2, 1),)
-        assert spec.max_geometric_multiplicity == 1
+        assert np.linalg.matrix_rank(m - 3.0 * np.eye(2)) == 1
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectral_report(m)
 
     def test_zero_matrix(self):
-        spec = eig(np.zeros((4, 4)))
-        assert spec.max_geometric_multiplicity == 4
-        assert spec.min_poly_degree == 1
+        report = spectral_report(np.zeros((4, 4)))
+        assert report.eta == 4
+        assert report.mu == 1
 
     def test_min_poly_degree_sums_indices(self):
-        """Index 1 for every diagonalizable cluster, the largest Jordan block
-        size for a defective one."""
-        assert eig(np.diag([2.0, 2.0, 5.0])).min_poly_degree == 2
-        assert eig(np.array([[3.0, 1.0], [0.0, 3.0]])).min_poly_degree == 2
+        """Every index of a Hermitian matrix is 1, so mu is the cluster
+        count; a Jordan chain, whose index exceeds 1, is refused."""
+        assert spectral_report(np.diag([2.0, 2.0, 5.0])).mu == 2
+        assert spectral_report(np.diag([-1.0, -1.0, -1.0, -2.0])).mu == 2
         m = np.diag([-1.0, -1.0, -1.0, -2.0]) + np.diag([1.0, 1.0, 0.0], 1)
-        spec = eig(m)
-        assert spec.clusters == ((-2.0 + 0j, 1, 1), (-1.0 + 0j, 3, 1))
-        assert spec.min_poly_degree == 4
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectral_report(m)
 
     def test_near_degenerate_values_cluster(self):
         # gap of 1e-12 against a spectral diameter of ~1: far below the
         # 1e-8 * diameter clustering threshold
-        m = np.diag([1.0, 1.0 + 1e-12, 2.0])
-        spec = eig(m)
-        assert len(spec.clusters) == 2
+        report = spectral_report(np.diag([1.0, 1.0 + 1e-12, 2.0]))
+        assert [c[1:] for c in report.spectrum.clusters] == [(2, 2), (1, 1)]
 
-    def test_perturbed_defective_spectrum_is_one_cluster(self):
-        """Q (J2(-1) + J2(-1)) Q^T with a random orthogonal Q (seed 2): eigvals
-        spreads the fourfold -1 over about 1e-8, which is also the spectral
-        diameter.  The ||m||_2 floor of the cluster scale keeps it one
-        cluster with eta 2 and mu 2; a diameter scale splits it into four
-        singletons (eta 1, mu 4)."""
+    def test_perturbed_defective_spectrum_is_refused(self):
+        """Q (J2(-1) + J2(-1)) Q^T with a random orthogonal Q (seed 2) is not
+        Hermitian, so it is refused; Q (-I) Q^T, Hermitian and spread by
+        rounding, is one cluster of four."""
         j = np.diag([-1.0] * 4) + np.diag([1.0, 0.0, 1.0], 1)
-        q = np.linalg.qr(np.random.default_rng(2).normal(size=(4, 4)))[0]
-        spec = eig(q @ j @ q.T)
-        assert [c[1:] for c in spec.clusters] == [(4, 2)]
-        assert (spec.max_geometric_multiplicity, spec.min_poly_degree) == (2, 2)
+        q = random_orthogonal(2, 4)
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectral_report(q @ j @ q.T)
+        report = spectral_report(q @ -np.eye(4) @ q.T)
+        assert [c[1:] for c in report.spectrum.clusters] == [(4, 4)]
+        assert (report.eta, report.mu) == (4, 1)
 
     def test_sorting_is_by_real_then_imag(self):
-        m = np.diag([1.0 + 1j, 1.0 - 1j, 0.5])
-        spec = eig(m)
-        vals = spec.eigenvalues
-        assert vals[0] == pytest.approx(0.5)
-        assert vals[1].imag < vals[2].imag
+        """Eigenvalues come ascending with zero imaginary parts, whatever the
+        basis; a complex diagonal is not Hermitian and is refused."""
+        q = random_orthogonal(3, 3)
+        vals = spectral_report(q @ np.diag([2.0, -1.0, 0.5]) @ q.T).spectrum.eigenvalues
+        np.testing.assert_allclose(vals.real, [-1.0, 0.5, 2.0], atol=1e-14)
+        assert not vals.imag.any()
+        with pytest.raises(ValueError, match="Hermitian"):
+            spectral_report(np.diag([1.0 + 1j, 1.0 - 1j, 0.5]))
 
 
 class TestEigh:
@@ -146,35 +154,49 @@ class TestEigh:
             eigh(np.eye(2))
 
 
+def gap_rule_sizes(values):
+    """Cluster sizes of a real spectrum by the written-out gap rule: sorted
+    neighbours chain when their gap is at most CLUSTER_TOL x max(diameter,
+    max |lambda|)."""
+    v = np.sort(values)
+    cut = CLUSTER_TOL * max(v[-1] - v[0], np.abs(v).max())
+    sizes = [1]
+    for gap in np.diff(v):
+        if gap > cut:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    return sizes
+
+
 class TestClusterLabels:
-    """The one clustering rule, on its Hermitian (ascending real) path and
-    on its general path."""
+    """The one clustering rule, on ascending real spectra."""
 
     def test_hermitian_path_clusters_like_eig(self):
         """A tight Hermitian spectrum far from zero is one cluster at the
-        norm's scale, as ``eig`` finds it; its diameter alone would split it."""
+        norm's scale; its diameter alone would split it.  The labels match
+        the written-out gap rule on numpy's general eigensolver's values."""
         rng = np.random.default_rng(12)
         for _ in range(50):
             base = rng.choice([-2.0, -1.0, 0.5, 3.0], size=6)
             values = np.sort(base + rng.uniform(-3e-9, 3e-9, size=6) * np.abs(base))
-            labels = matcore._cluster_labels(values)[0]
-            general = matcore._cluster_labels(values, np.max(np.abs(values)))[0]
-            np.testing.assert_array_equal(labels, general)
-            assert [c[1] for c in eig(np.diag(values)).clusters] == np.bincount(labels).tolist()
+            labels = matcore._cluster_labels(values)
+            solved = np.linalg.eigvals(np.diag(values))
+            assert not solved.imag.any()
+            assert gap_rule_sizes(solved.real) == np.bincount(labels).tolist()
         tight = np.array([-1.0 - 1e-9, -1.0, -1.0 + 1e-9])
-        assert matcore._cluster_labels(tight)[0].tolist() == [0, 0, 0]
-        assert [c[1] for c in eig(np.diag(tight)).clusters] == [3]
+        assert matcore._cluster_labels(tight).tolist() == [0, 0, 0]
+        assert gap_rule_sizes(tight) == [3]
         wide = np.array([-1.0, -1.0 + 1.5e-8, 1.0])  # the diameter 2 sets the scale
-        assert matcore._cluster_labels(wide)[0].tolist() == [0, 0, 1]
-        assert [c[1] for c in eig(np.diag(wide)).clusters] == [2, 1]
+        assert matcore._cluster_labels(wide).tolist() == [0, 0, 1]
+        assert gap_rule_sizes(wide) == [2, 1]
 
     def test_stacks_label_row_by_row(self):
         rows = np.array([[-1.0, -1.0 + 1e-12, 0.0], [-1.0, -0.5, 0.0]])
-        labels, tol_abs = matcore._cluster_labels(rows)
+        labels = matcore._cluster_labels(rows)
         assert labels.tolist() == [[0, 0, 1], [0, 1, 2]]
-        for row, label, t in zip(rows, labels, tol_abs):
-            one = matcore._cluster_labels(row)
-            assert one[0].tolist() == label.tolist() and one[1] == t
+        for row, label in zip(rows, labels):
+            assert matcore._cluster_labels(row).tolist() == label.tolist()
 
 
 class TestExpmApply:
@@ -219,13 +241,13 @@ class TestTolerancePlumbing:
     def test_default(self, monkeypatch):
         """``None`` means DEFAULT_RANK_TOL; no environment variable is read."""
         monkeypatch.setenv("STROBE_TOL", "abc")
-        assert eig(np.diag([1.0, 2.0])).tolerance == matcore.DEFAULT_RANK_TOL
-        assert eig(np.diag([1.0, 2.0]), tol=1e-6).tolerance == 1e-6
+        assert spectral_report(np.diag([1.0, 2.0])).tolerance == matcore.DEFAULT_RANK_TOL
+        assert spectral_report(np.diag([1.0, 2.0]), tol=1e-6).tolerance == 1e-6
         assert matcore._rank_tol(None) == matcore.DEFAULT_RANK_TOL
 
     @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_non_finite_or_non_positive(self, tol):
         with pytest.raises(ValueError, match="finite and positive"):
-            eig(np.eye(2), tol=tol)
+            spectral_report(np.eye(2), tol=tol)
         with pytest.raises(ValueError, match="finite and positive"):
             matcore._rank_tol(tol)
