@@ -83,9 +83,10 @@ class TestEig:
             spectral_report(m)
 
     def test_zero_matrix(self):
-        report = spectral_report(np.zeros((4, 4)))
-        assert report.eta == 4
-        assert report.mu == 1
+        """Equal eigenvalues chain into one cluster even where the cut is 0."""
+        report = spectral_report(np.zeros((3, 3)))
+        assert report.spectrum.clusters == ((0j, 3, 3),)
+        assert (report.eta, report.mu, report.discriminant) == (3, 1, 0)
 
     def test_min_poly_degree_sums_indices(self):
         """Every index of a Hermitian matrix is 1, so mu is the cluster
