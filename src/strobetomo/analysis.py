@@ -24,6 +24,8 @@ no eigensolver), and :func:`spectral_report`, :func:`optimality_report`,
 the default time grid and the plan the values of ``matcore.eigh``.
 ``analyze`` equals every scan row bit for bit, and the reports of a family
 generator agree with both to about 1e-12 relative on the discriminant.
+A :class:`SpectralReport` holds the clustered spectrum itself, and eta and
+mu are counts of its clusters, so the reports take no rank tolerance.
 A non-Hermitian generator, such as a GKSL generator with a Hamiltonian or
 non-normal jumps, is refused with ValueError by every function here that
 takes a generator.
@@ -75,16 +77,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Clustered spectrum, the derived tomography indices and the
-    cross-checked optimality certificates, all read off ``spectrum``.
+    """The clustered spectrum of a Hermitian generator, the tomography
+    indices read off it and the cross-checked optimality certificates.
 
-    ``clusters`` holds ascending (eigenvalue, algebraic, geometric)
-    triples; ``eta`` is the maximum geometric multiplicity; ``mu`` the
-    minimal-polynomial degree; ``discriminant`` the pairwise product over
-    the eigenvalues (exactly zero whenever any cluster has algebraic
-    multiplicity > 1).  The generator is Hermitian, so geometric =
-    algebraic, eta is the largest cluster, mu the cluster count and
-    ``tolerance`` decides nothing.
+    ``eigenvalues`` are ascending; ``clusters`` holds one (mean, size) pair
+    per cluster, ascending; ``discriminant`` is the pairwise product over
+    the eigenvalues, exactly zero whenever a cluster merges.  The generator
+    is Hermitian, so a cluster's size is both its algebraic and its
+    geometric multiplicity and every index is 1: ``eta`` is the largest
+    cluster and ``mu``, the minimal-polynomial degree, the cluster count.
 
     ``optimal`` is the operative verdict (eta = 1).  ``mu_nonderogatory``
     (= n^2) is the mu implied by a simple spectrum, while
@@ -93,24 +94,21 @@ class SpectralReport:
     mu and either reference is spelled out in ``notes``.
     """
 
-    spectrum: matcore.Spectrum
-    discriminant: complex
+    eigenvalues: np.ndarray
+    clusters: tuple[tuple[float, int], ...]
+    discriminant: float
 
     @property
     def eta(self) -> int:
-        return self.spectrum.max_geometric_multiplicity
+        return max(size for _, size in self.clusters)
 
     @property
     def mu(self) -> int:
-        return self.spectrum.min_poly_degree
-
-    @property
-    def tolerance(self) -> float:
-        return self.spectrum.tolerance
+        return len(self.clusters)
 
     @property
     def dim(self) -> int:
-        return self.spectrum.dim
+        return self.eigenvalues.size
 
     @property
     def optimal(self) -> bool:
@@ -127,7 +125,7 @@ class SpectralReport:
 
     @property
     def discriminant_nonzero(self) -> bool:
-        return all(alg == 1 for _, alg, _ in self.spectrum.clusters)  # no merged cluster
+        return self.mu == self.dim  # no merged cluster
 
     @property
     def criteria_agree(self) -> bool:
@@ -226,15 +224,14 @@ class SpanReport:
         return self.rank == self.required
 
 
-def spectral_report(gen, tol: float | None = None) -> SpectralReport:
+def spectral_report(gen) -> SpectralReport:
     """Spectrum, index of cyclicity, min-poly degree and discriminant, all
     read off the eigenvalues of ``gen``, a Hermitian generator or its
     ``matcore.Eigensystem``, by :func:`~strobetomo.matcore.eigh` and the
     cluster kernel, as ``analyze`` reads them off the closed form.  A
     matrix that is not square, finite and Hermitian to 1e-12 of its largest
-    entry is refused with ValueError.  The discriminant is zero when any
-    cluster merges."""
-    return _family_report(matcore.eigh(gen).values[None], tol)
+    entry is refused with ValueError.  No rank tolerance enters."""
+    return _family_report(matcore.eigh(gen).values[None])
 
 
 optimality_report = spectral_report
@@ -286,23 +283,20 @@ def _family_spectra(values) -> _FamilySpectra:
     return _FamilySpectra(labels, eta, mu, disc)
 
 
-def _family_report(values, tol: float | None) -> SpectralReport:
+def _family_report(values) -> SpectralReport:
     """:class:`SpectralReport` of one Hermitian generator from its ascending
     eigenvalues, shape (1, N): the row of :func:`_family_spectra`, so it
     equals any scan row of the same point bit for bit.  Each cluster is
-    (mean, size, size); ``tol`` is only reported."""
+    (mean, size)."""
     s = _family_spectra(values)
     members = s.labels[0] == np.arange(s.mu[0])[:, None]
     sizes = members.sum(axis=1)
     means = np.where(members, values[0], 0.0).sum(axis=1) / sizes
-    tol = matcore._rank_tol(tol)
-    spectrum = matcore.Spectrum(
-        eigenvalues=values[0].astype(complex),
-        clusters=tuple((complex(v), a, a) for v, a in zip(means, sizes.tolist())),
-        tolerance=tol,
-        min_poly_degree=int(s.mu[0]),
+    return SpectralReport(
+        eigenvalues=values[0],
+        clusters=tuple(zip(means.tolist(), sizes.tolist())),
+        discriminant=float(s.discriminant[0]),
     )
-    return SpectralReport(spectrum=spectrum, discriminant=complex(s.discriminant[0]))
 
 
 def span_report(gen, observables, tol: float | None = None) -> SpanReport:

@@ -26,7 +26,9 @@ the ``t,value,shots`` layout of :mod:`strobetomo.reconstruct`.
 The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
 one invocation; it must be finite and positive.  It is passed explicitly to
 every span and planning call the subcommand makes; family eta and mu are
-cluster counts, so a scan's CSV is the same at any ``--tol``.  ``--gamma``
+cluster counts, so a scan's CSV is the same at any ``--tol``, and
+``analyze``, which makes no rank decision either, only echoes it in its
+JSON's ``tolerance`` field.  ``--gamma``
 must be finite and positive too, and at most ``channels._gamma_limit``, so
 that every family eigenvalue stays finite on the model's CPTP domain; both
 are checked before any work.
@@ -197,7 +199,7 @@ def _family_point(args):
     if not validity.cptp_domain:
         raise ValueError("; ".join(validity.violations))
     eigenvalues = channels._family_eigenvalues([params.coefficients], params.gamma)
-    return params, validity, analysis._family_report(eigenvalues, args.tol)
+    return params, validity, analysis._family_report(eigenvalues)
 
 
 def _params_json(params) -> dict:
@@ -243,15 +245,15 @@ def cmd_analyze(args) -> int:
             "violations": list(validity.violations),
         },
         "spectral": {
-            "eigenvalues": [_complex_to_json(z) for z in report.spectrum.eigenvalues],
-            "clusters": [
-                {"value": _complex_to_json(v), "algebraic": a, "geometric": g}
-                for v, a, g in report.spectrum.clusters
+            "eigenvalues": [_complex_to_json(z) for z in report.eigenvalues],
+            "clusters": [  # a Hermitian generator's cluster size is both multiplicities
+                {"value": _complex_to_json(v), "algebraic": size, "geometric": size}
+                for v, size in report.clusters
             ],
             "eta": report.eta,
             "mu": report.mu,
             "discriminant": _complex_to_json(report.discriminant),
-            "tolerance": report.tolerance,
+            "tolerance": args.tol,
         },
         "optimality": {
             "eta": report.eta,

@@ -26,8 +26,9 @@ Input that is Hermitian to 1e-12 of its largest entry (``_hermitian_part``,
 the package's one Hermitian test) is decomposed by :func:`eigh`, and any
 other input is refused: both family generators are real symmetric.  A
 generator is decomposed once, into the :class:`Eigensystem` that
-:func:`eigh` returns and hands back unchanged, so every later stage can take
-it: its eigenvalues settle eta and mu by ``_cluster_labels``, and every
+:func:`eigh` returns and, once checked, hands back unchanged, so every later
+stage can take it: its eigenvalues settle eta and mu by ``_cluster_labels``
+(``analysis.SpectralReport`` holds the clustered spectrum), and every
 evolution exp(L t) takes ``_semigroup``, the one rule for its modes, and
 through it :func:`propagate`.  Family generators are diagonal in
 ``_hermitian_basis``, so :mod:`.channels` reads their eigenvalues off it in
@@ -37,7 +38,6 @@ closed form, with no solver.  The module uses numpy alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "Eigensystem",
     "NotReconstructible",
     "NumericalFailure",
-    "Spectrum",
     "as_matrix",
     "vec",
     "unvec",
@@ -151,32 +150,6 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return ops
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues with algebraic multiplicity plus degeneracy clustering.
-
-    ``eigenvalues`` lists all values (algebraic multiplicity), ascending.
-    ``clusters`` groups numerically coincident values: one
-    ``(representative, algebraic, geometric)`` triple per cluster, in the
-    same ordering.  The spectrum is a Hermitian generator's, so geometric =
-    algebraic, every index is 1 and ``min_poly_degree`` (mu, the degree of
-    the minimal polynomial) is the cluster count.
-    """
-
-    eigenvalues: np.ndarray
-    clusters: tuple[tuple[complex, int, int], ...]
-    tolerance: float
-    min_poly_degree: int
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def max_geometric_multiplicity(self) -> int:
-        return max(c[2] for c in self.clusters)
-
-
 def _cluster_labels(values: np.ndarray) -> np.ndarray:
     """The one clustering rule: labels, from 0, of the ascending spectra of
     Hermitian matrices m along the last axis.
@@ -220,9 +193,22 @@ def eigh(m) -> Eigensystem:
     Both family generators are Hermitian (real symmetric), so this one
     decomposition is complete and well conditioned for them.  A matrix that
     is not Hermitian to 1e-12 of its largest entry is rejected; one that is
-    has its exactly Hermitian part decomposed.
+    has its exactly Hermitian part decomposed.  An :class:`Eigensystem` is
+    handed back as it is if its values are a nonempty 1-D array of finite
+    reals in ascending order and its vectors an (N, N) array, and refused
+    with ValueError otherwise: every later stage reads eta and mu off the
+    order of the values.
     """
     if isinstance(m, Eigensystem):
+        values, vectors = m
+        if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.size
+                and values.dtype.kind in "iuf"):
+            raise ValueError("eigensystem values must be a nonempty 1-D array of reals")
+        if not (np.isfinite(values).all() and (values[1:] >= values[:-1]).all()):
+            raise ValueError("eigensystem values must be finite and in ascending order")
+        if not (isinstance(vectors, np.ndarray) and vectors.shape == (values.size,) * 2):
+            raise ValueError(f"eigensystem vectors must be a {values.size}x{values.size} array, "
+                             f"got shape {np.shape(vectors)}")
         return m
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:

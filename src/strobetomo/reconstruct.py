@@ -154,7 +154,8 @@ def expectation(q, rho) -> float:
 def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     """One measurement record, exact or shot-noisy.
 
-    ``shots="exact"`` returns Tr(Q rho).  A finite shot count draws that
+    ``shots="exact"`` returns Tr(Q rho).  A shot count, a whole number from
+    1 to 2**63 - 1 (a bool or 2.7 is refused, not truncated), draws that
     many outcomes from Q's eigenvalues with Born probabilities
     <q_k|rho|q_k> (multinomially, seeded) and returns the sample mean.
     ``t`` only labels the record; the state passed in is already rho(t).
@@ -165,7 +166,7 @@ def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     rho = matcore.as_matrix(rho)
     if shots == "exact":
         return MeasurementRecord(t=t, value=expectation(q, rho), shots="exact")
-    shots = int(shots)
+    shots = _shot_count(shots)
     if not 1 <= shots < 2**63:  # the sampler's counts are 64-bit
         raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {shots}")
     evals, evecs = matcore.eigh(q)
@@ -197,9 +198,19 @@ class MeasurementRecord:
         if not (np.isfinite(self.t) and np.isfinite(self.value)):
             raise ValueError(f"record time and value must be finite, got {self.t}, {self.value}")
         if self.shots != "exact":
-            if int(self.shots) < 1:
-                raise ValueError(f"shot count must be >= 1, got {self.shots}")
-            object.__setattr__(self, "shots", int(self.shots))
+            shots = _shot_count(self.shots)
+            if shots < 1:
+                raise ValueError(f"shot count must be >= 1, got {shots}")
+            object.__setattr__(self, "shots", shots)
+
+
+def _shot_count(shots) -> int:
+    """``shots`` as an int; a bool, or a number that is not whole, is refused
+    rather than truncated."""
+    whole = -np.inf < shots < np.inf and int(shots) == shots  # nan fails both bounds
+    if isinstance(shots, (bool, np.bool_)) or not whole:
+        raise ValueError(f"shot count must be a whole number, got {shots!r}")
+    return int(shots)
 
 
 def simulate_records(gen, q, rho0, grid: TimeGrid, shots, seed=None) -> list[MeasurementRecord]:
@@ -351,7 +362,8 @@ def execute(
     n = plan_.dim
     # Known coordinate of rho(0) on B_0 = I/sqrt(n), from Tr rho = 1.
     h0 = 1.0 / np.sqrt(n)
-    rhs = m - plan_.forward_matrix[:, 0] * h0
+    trace = np.trace(plan_.observable.matrix).real / np.sqrt(n)  # forward_matrix[:, 0]
+    rhs = m - trace * h0
     # The plan's gate bounds the condition number, so the system is solvable;
     # records too large for it overflow, and are refused below.
     with np.errstate(over="ignore", invalid="ignore"):

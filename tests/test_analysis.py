@@ -146,7 +146,7 @@ class TestSpectralReport:
         assert report.eta == 1
         assert report.mu == 4
         np.testing.assert_allclose(
-            np.sort(report.spectrum.eigenvalues.real), [-1.0, -0.8, -0.6, 0.0], atol=1e-10
+            report.eigenvalues, [-1.0, -0.8, -0.6, 0.0], atol=1e-10
         )
 
     def test_worked_example_discriminant(self):
@@ -221,9 +221,9 @@ class TestSpectralReport:
         assert (report.eta, report.mu) == (eta, distinct)
 
 
-def family_report(gen, tol):
+def family_report(gen):
     """The kernel's report of one generator, fed its ``eigvalsh``."""
-    return _family_report(np.linalg.eigvalsh(np.asarray(gen)[None]), tol)
+    return _family_report(np.linalg.eigvalsh(np.asarray(gen)[None]))
 
 
 def general_route(gen):
@@ -240,20 +240,17 @@ def general_route(gen):
     return sizes, max(sizes), len(sizes), complex(disc)
 
 
-def assert_matches_general_route(gen, tol):
+def assert_matches_general_route(gen):
     """The kernel's report equals the general route's: same clusters, eta
     and mu, discriminants within 1e-12 relative (zero together)."""
-    fast = family_report(gen, tol)
+    fast = family_report(gen)
     sizes, eta, mu, disc = general_route(gen)
-    assert (fast.eta, fast.mu, fast.tolerance) == (eta, mu, tol)
-    assert [c[1:] for c in fast.spectrum.clusters] == [(a, a) for a in sizes]
+    assert (fast.eta, fast.mu) == (eta, mu)
+    assert [size for _, size in fast.clusters] == sizes
     if disc == 0:
         assert fast.discriminant == 0
     else:
         assert abs(fast.discriminant - disc) <= 1e-12 * abs(disc)
-
-
-tols = st.sampled_from([1e-9, 1e-6])
 
 
 def chained_sizes(values):
@@ -310,16 +307,16 @@ class TestFamilySpectra:
         assert (s.discriminant[0] == 0) == (s.mu[0] < values.shape[1])
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(a=lattice_two_level(), gamma=gammas, tol=tols)
-    def test_two_level_matches_general_route(self, a, gamma, tol):
-        assert_matches_general_route(generator_two_level(TwoLevelParams(*a, gamma=gamma)), tol)
+    @given(a=lattice_two_level(), gamma=gammas)
+    def test_two_level_matches_general_route(self, a, gamma):
+        assert_matches_general_route(generator_two_level(TwoLevelParams(*a, gamma=gamma)))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(a=lattice_three_level(), gamma=gammas, tol=tols)
-    def test_three_level_matches_general_route(self, a, gamma, tol):
+    @given(a=lattice_three_level(), gamma=gammas)
+    def test_three_level_matches_general_route(self, a, gamma):
         p = ThreeLevelParams(*a, gamma=gamma)
         assume(validate_three_level(p).cptp_domain)
-        assert_matches_general_route(generator_three_level(p), tol)
+        assert_matches_general_route(generator_three_level(p))
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(points=st.lists(lattice_three_level(), min_size=1, max_size=9), gamma=gammas)
@@ -349,18 +346,17 @@ class TestFamilySpectra:
             default_time_grid(gen, 3)
 
     def test_cluster_tolerance_floors_the_rank_cut(self):
-        """The rank tolerance decides nothing: at a tiny one the rounding
-        spread of a tied pair (1e-16 here, from a1 = a2) is still under the
-        cluster cut, so the pair is one cluster, as the general route finds."""
+        """No rank tolerance enters: the rounding spread of a tied pair
+        (1e-16 here, from a1 = a2) is under the cluster cut, so the pair is
+        one cluster, as the general route finds."""
         gen = generator_three_level(ThreeLevelParams(0.1, 0.1, 0.2, 0.05, 0.08, 0.06))
-        for tol in (1e-300, 1e-9):
-            assert_matches_general_route(gen, tol)
-            assert family_report(gen, tol).eta == 2
+        assert_matches_general_route(gen)
+        assert family_report(gen).eta == 2
 
     def test_overflowing_discriminant_reads_inf(self):
         with np.errstate(all="raise"):
-            huge = family_report(generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, 1e200)), None)
-        unit = family_report(GEN_2, None)
+            huge = family_report(generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, 1e200)))
+        unit = family_report(GEN_2)
         assert (huge.eta, huge.mu) == (unit.eta, unit.mu) == (1, 4)
         assert huge.discriminant == np.inf
 
@@ -473,10 +469,10 @@ class TestSpectralRoute:
         gen = generator_three_level(CHAIN_POINT)
         report = spectral_report(gen)
         assert (report.eta, report.mu, report.discriminant) == (4, 6, 0)
-        assert [c[1:] for c in report.spectrum.clusters] == [(1, 1)] * 3 + [(4, 4)] + [(1, 1)] * 2
+        assert [size for _, size in report.clusters] == [1, 1, 1, 4, 1, 1]
         opt = optimality_report(gen)
         assert (opt.eta, opt.mu, opt.optimal, opt.criteria_agree) == (4, 6, False, True)
-        closed = _family_report(_family_eigenvalues([CHAIN_POINT.coefficients], 1.0), None)
+        closed = _family_report(_family_eigenvalues([CHAIN_POINT.coefficients], 1.0))
         assert (closed.eta, closed.mu) == (4, 6)
 
     def test_hermitian_lindblad_generators_match_eig(self):
@@ -534,10 +530,12 @@ class TestSpectralRoute:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_bad_tolerance_is_a_value_error_on_either_route(self, tol):
-        """A matrix or its Eigensystem."""
+        """The span report, which makes rank decisions, refuses a bad
+        tolerance with a matrix or its Eigensystem; the spectral reports
+        take none."""
         for gen in (GEN_2, matcore.eigh(GEN_2)):
             with pytest.raises(ValueError, match="tolerance"):
-                spectral_report(gen, tol)
+                span_report(gen, [qubit_observable(1.0, 0.0, 1.0, 1.0)], tol)
 
 
 @st.composite
@@ -567,7 +565,7 @@ class TestPlantedSpectrum:
         m, sizes, _ = planted
         report = spectral_report(m)
         assert (report.eta, report.mu) == (max(sizes), len(sizes))
-        assert [c[1:] for c in report.spectrum.clusters] == [(a, a) for a in sizes]
+        assert [size for _, size in report.clusters] == list(sizes)
         assert (report.discriminant == 0) == (max(sizes) > 1)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
@@ -575,10 +573,9 @@ class TestPlantedSpectrum:
     def test_eigensystem_gives_the_same_bits(self, planted):
         m = planted[0]
         direct, passed = spectral_report(m), spectral_report(matcore.eigh(m))
-        np.testing.assert_array_equal(direct.spectrum.eigenvalues, passed.spectrum.eigenvalues)
-        assert direct.spectrum.clusters == passed.spectrum.clusters
+        np.testing.assert_array_equal(direct.eigenvalues, passed.eigenvalues)
+        assert direct.clusters == passed.clusters
         assert direct.discriminant == passed.discriminant
-        assert (direct.mu, direct.tolerance) == (passed.mu, passed.tolerance)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(planted=planted_spectra(), kind=st.sampled_from(["jordan", "random"]))

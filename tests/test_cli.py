@@ -884,8 +884,9 @@ class TestTolerance:
     @pytest.mark.parametrize("command", ["analyze", "check-observable", "reconstruct", "scan"])
     def test_tol_reaches_every_rank_decision(self, capsys, tmp_path, monkeypatch, command):
         """Every tolerance the subcommand hands to matcore is the --tol value.
-        A scan makes no rank decision: eta and mu of a family generator are
-        its largest cluster and its cluster count, so it reads no tolerance."""
+        A scan and analyze make no rank decision: eta and mu of a family
+        generator are its largest cluster and its cluster count, so they read
+        no tolerance, and analyze only echoes it in its JSON."""
         seen = []
         rank_tol = matcore._rank_tol
 
@@ -904,8 +905,10 @@ class TestTolerance:
                      "--a3", "0.3"],
         }[command]
         assert main(["--tol", "1e-6", *argv]) == 0
-        capsys.readouterr()
-        if command == "scan":
+        out = capsys.readouterr().out
+        if command == "analyze":
+            assert json.loads(out)["spectral"]["tolerance"] == 1e-6
+        if command in ("analyze", "scan"):
             assert seen == []
         else:
             assert seen and set(seen) == {1e-6}

@@ -138,6 +138,29 @@ def test_eigh_returns_an_eigensystem_as_it_is():
     np.testing.assert_allclose((vectors * values) @ vectors.conj().T, GEN_2, atol=1e-14)
 
 
+@pytest.mark.parametrize("values,vectors,match", [
+    (np.array([-1.0, 0.0, -1.0]), np.eye(3), "ascending"),
+    (np.array([-1.0, np.nan, 0.0]), np.eye(3), "finite"),
+    (np.array([-np.inf, -1.0, 0.0]), np.eye(3), "finite"),
+    (np.array([-1.0, 0.0, 1.0]) + 0j, np.eye(3), "1-D array of reals"),
+    (np.zeros((1, 3)), np.eye(3), "1-D array of reals"),
+    (np.zeros(0), np.eye(0), "1-D array of reals"),
+    ([-1.0, 0.0, 1.0], np.eye(3), "1-D array of reals"),
+    (np.array([-1.0, 0.0, 1.0]), np.eye(2), "3x3"),
+    (np.array([-1.0, 0.0, 1.0]), np.eye(3)[None], "3x3"),
+], ids=["unsorted", "nan", "inf", "complex", "2-D", "empty", "list", "short vectors",
+        "3-D vectors"])
+def test_eigh_refuses_a_malformed_eigensystem(values, vectors, match):
+    """Unsorted values would read eta 1 and mu 3 for the spectrum
+    {-1, -1, 0} (eta 2 and mu 2), and a nan value eta 3 and mu 1; no report
+    and no stage is made of either."""
+    system = matcore.Eigensystem(values, vectors)
+    with pytest.raises(ValueError, match=match):
+        matcore.eigh(system)
+    with pytest.raises(ValueError, match=match):
+        analysis.spectral_report(system)
+
+
 def perturbed_off_trace():
     """GEN_2 plus 1e-6 ||L|| on one diagonal entry: Hermitian, and
     L vec(I) = 1e-6 ||L|| e_0."""

@@ -242,6 +242,20 @@ class TestEvolveAndMeasure:
         assert a.value == b.value
         assert a.value != c.value
 
+    @pytest.mark.parametrize("shots", [2.7, True, np.True_, np.inf, np.nan],
+                             ids=["2.7", "True", "np.True_", "inf", "nan"])
+    def test_shot_count_that_is_not_whole_is_refused(self, shots):
+        """2.7 would draw 2 shots and True 1; both are refused, not truncated."""
+        with pytest.raises(ValueError, match="whole number"):
+            measure(Q_2, RHO_2, shots, seed=1)
+        with pytest.raises(ValueError, match="whole number"):
+            MeasurementRecord(t=0.5, value=0.1, shots=shots)
+
+    def test_whole_shot_counts_of_any_type_are_ints(self):
+        for shots in (3, 3.0, np.int64(3), np.float64(3.0)):
+            assert measure(Q_2, RHO_2, shots, seed=1) == measure(Q_2, RHO_2, 3, seed=1)
+            assert type(MeasurementRecord(t=0.5, value=0.1, shots=shots).shots) is int
+
     def test_invalid_state_rejected(self):
         bad = np.array([[1.5, 0.0], [0.0, -0.5]])  # Born probability -0.5 < -1e-8
         with pytest.raises(ValueError, match="density"):
