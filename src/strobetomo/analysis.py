@@ -64,7 +64,6 @@ from .matcore import vec
 __all__ = [
     "SpectralReport",
     "ObservableSpec",
-    "OptimalityReport",
     "SpanReport",
     "spectral_report",
     "optimality_report",
@@ -125,7 +124,7 @@ class SpectralReport:
 
     @property
     def discriminant_nonzero(self) -> bool:
-        return self.mu == self.dim  # no merged cluster
+        return self.discriminant != 0
 
     @property
     def criteria_agree(self) -> bool:
@@ -151,9 +150,6 @@ class SpectralReport:
                 "inconsistent with a nonderogatory generator"
             )
         return tuple(notes)
-
-
-OptimalityReport = SpectralReport
 
 
 @dataclass(frozen=True)

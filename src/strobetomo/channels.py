@@ -1,6 +1,9 @@
 """Parametric Kraus channel families and their GKSL generators.
 
-Two concrete families are provided, plus a generic Lindblad route:
+Two concrete families are provided, plus a generic Lindblad route.  A
+parameter record is its family: one function of the record does each job
+for both models, under each model's name (``generator_two_level is
+generator_three_level is generator_of``, and so for ``validate_*``):
 
 * a three-parameter qubit family built on the Pauli matrices, with
   decoherence profile ``kappa(t) = exp(-gamma t)``:
@@ -59,7 +62,6 @@ __all__ = [
     "TwoLevelParams",
     "ThreeLevelParams",
     "LindbladSpec",
-    "KrausFamily",
     "ValidityReport",
     "pauli",
     "gellmann",
@@ -122,12 +124,16 @@ class TwoLevelParams:
     """Qubit family parameters (a1, a2, a3) with decoherence rate gamma.
 
     Each parameter class holds its model's facts as class variables: the
-    CLI name, the state dimension n and the free parameters (scan axes).
+    CLI name, the state dimension n, the free parameters (scan axes), and
+    the coefficient names and messages that :func:`_validity` reports.
     """
 
     model: ClassVar[str] = "two-level"
     dim: ClassVar[int] = 2
     axes: ClassVar[tuple[str, ...]] = ("a1", "a2", "a3")
+    coefficient_names: ClassVar[tuple[str, ...]] = axes
+    bound_message: ClassVar[str] = "a1+a2+a3 = {} exceeds the channel bound 1"
+    tie_message: ClassVar[str] = "coefficients {a1, a2, a3} are not pairwise distinct"
 
     a1: float
     a2: float
@@ -158,6 +164,9 @@ class ThreeLevelParams:
     model: ClassVar[str] = "three-level"
     dim: ClassVar[int] = 3
     axes: ClassVar[tuple[str, ...]] = ("a1", "a2", "a3", "a4", "a5", "a6")
+    coefficient_names: ClassVar[tuple[str, ...]] = axes + ("a7 = a4+a5-a6", "a8 = a1+a2+a3-a4-a5")
+    bound_message: ClassVar[str] = "completeness factor (2/3)(2a1+2a2+2a3+a4+a5) = {} exceeds 1"
+    tie_message: ClassVar[str] = "coefficients {a1..a6, a7, a8} are not pairwise distinct"
 
     a1: float
     a2: float
@@ -284,70 +293,44 @@ def _family_domain(points):
     return coeffs, bound, cptp, simple
 
 
-def _validity(point, names, bound_message: str, tie_message: str) -> ValidityReport:
-    """:class:`ValidityReport` of one point: the flags of :func:`_family_domain`
-    plus a message for each broken condition."""
+def _validity(p: TwoLevelParams | ThreeLevelParams) -> ValidityReport:
+    """:class:`ValidityReport` of a parameter record of either model: the
+    flags of :func:`_family_domain` at its point, and a message, worded by
+    the record's class, for each broken condition.  CPTP requires every
+    Kraus coefficient (the qutrit's a7 and a8 too) to be nonnegative and the
+    channel bound (a1+a2+a3, or f = (2/3)(2a1+2a2+2a3+a4+a5)) to be at most
+    1; on that domain ``nondegenerate`` is pairwise distinctness of the
+    coefficients.  ``validate_two_level`` and ``validate_three_level`` are
+    this function."""
+    point = p.coefficients[: len(p.axes)]
     coeffs, bound, cptp, simple = (x[0] for x in _family_domain([point]))
     violations = [
         f"{name} = {val} violates nonnegativity"
-        for name, val in zip(names, coeffs.tolist())
+        for name, val in zip(p.coefficient_names, coeffs.tolist())
         if val < 0
     ]
     if bound > 1:
-        violations.append(bound_message.format(float(bound)))
-    if not simple:  # tie_message states the rule on the domain
-        violations.append(tie_message if cptp else "the closed-form spectrum is not simple")
+        violations.append(p.bound_message.format(float(bound)))
+    if not simple:  # the tie message states the rule on the domain
+        violations.append(p.tie_message if cptp else "the closed-form spectrum is not simple")
     return ValidityReport(
         cptp_domain=bool(cptp), nondegenerate=bool(simple), violations=tuple(violations)
     )
 
 
-def validate_two_level(p: TwoLevelParams) -> ValidityReport:
-    """Domain check for the qubit family.
-
-    CPTP requires each ``a_i >= 0`` and ``a1+a2+a3 <= 1``.  The
-    non-degeneracy flag is simplicity of the closed-form spectrum
-    {0, -2(a1+a2), -2(a1+a3), -2(a2+a3)} at any point; on the CPTP domain
-    it is equivalent to pairwise distinctness of {a1, a2, a3}.
-    """
-    return _validity(
-        p.coefficients,
-        ("a1", "a2", "a3"),
-        "a1+a2+a3 = {} exceeds the channel bound 1",
-        "coefficients {a1, a2, a3} are not pairwise distinct",
-    )
-
-
-def validate_three_level(p: ThreeLevelParams) -> ValidityReport:
-    """Domain check for the qutrit family.
-
-    CPTP requires a1..a8 >= 0 (a7, a8 being the derived coefficients) and
-    the completeness factor f = (2/3)(2a1+2a2+2a3+a4+a5) <= 1.  The
-    non-degeneracy flag is simplicity of the closed-form spectrum
-    {0} u {2(a_k - 3f/4)} at any point; on the CPTP domain it is equivalent
-    to pairwise distinctness of all eight quantities {a1..a6, a7, a8}.
-    """
-    return _validity(
-        p.coefficients[:6],
-        ("a1", "a2", "a3", "a4", "a5", "a6", "a7 = a4+a5-a6", "a8 = a1+a2+a3-a4-a5"),
-        "completeness factor (2/3)(2a1+2a2+2a3+a4+a5) = {} exceeds 1",
-        "coefficients {a1..a6, a7, a8} are not pairwise distinct",
-    )
-
-
-def _validate(p: TwoLevelParams | ThreeLevelParams) -> ValidityReport:
-    """:func:`validate_two_level` or :func:`validate_three_level`, by the
-    dimension of ``p``'s model."""
-    return (validate_two_level if p.dim == 2 else validate_three_level)(p)
+validate_two_level = validate_three_level = _validity
 
 
 def _on_domain(p):
-    """``p`` when it lies on its model's CPTP domain; ValueError listing the
-    violations otherwise."""
-    report = _validate(p)
+    """``p`` when it lies on its model's CPTP domain, where a record is its
+    Kraus family (``*_family``); ValueError listing the violations otherwise."""
+    report = _validity(p)
     if not report.cptp_domain:
         raise ValueError("; ".join(report.violations))
     return p
+
+
+two_level_family = three_level_family = _on_domain
 
 
 # ---------------------------------------------------------------------------
@@ -355,52 +338,30 @@ def _on_domain(p):
 # ---------------------------------------------------------------------------
 
 
-#: Operator basis of the n-level family's Kraus set: Pauli or Gell-Mann.
-_BASES = {2: _PAULI, 3: _GELLMANN}
-
-
-@dataclass(frozen=True)
-class KrausFamily:
-    """A time-parametrized Kraus set tied to one of the supported models;
-    ``dim`` is that of its parameter class."""
-
-    params: TwoLevelParams | ThreeLevelParams
-
-    @property
-    def dim(self) -> int:
-        return self.params.dim
-
-
-def two_level_family(p: TwoLevelParams) -> KrausFamily:
-    return KrausFamily(_on_domain(p))
-
-
-def three_level_family(p: ThreeLevelParams) -> KrausFamily:
-    return KrausFamily(_on_domain(p))
-
-
-def kraus_at(family: KrausFamily, t: float) -> list[np.ndarray]:
-    """Kraus operators of the family at time ``t``.
+def kraus_at(p: TwoLevelParams | ThreeLevelParams, t: float) -> list[np.ndarray]:
+    """Kraus operators of the family of record ``p`` at time ``t``.
 
     The decay profile is ``kappa(t) = exp(-gamma t)``; at t = 0 every
     non-identity operator vanishes and the channel is the identity map.
-    ``t`` must be finite and >= 0, as the evolution rule's instants must.
+    ``t`` must be finite and >= 0, as the evolution rule's instants must;
+    ``p`` must lie on its CPTP domain.
     """
     if not 0 <= t < np.inf:  # nan fails both
         raise ValueError(f"instants must be finite and >= 0, got {t}")
-    p = family.params
+    p = _on_domain(p)
     decay = 1.0 - np.exp(-p.gamma * t)
     ops = [np.sqrt(1.0 - p.completeness_factor * decay) * np.eye(p.dim, dtype=complex)]
-    ops += [np.sqrt(a * decay) * b for a, b in zip(p.coefficients, _BASES[p.dim])]
+    basis = _PAULI if p.dim == 2 else _GELLMANN
+    ops += [np.sqrt(a * decay) * b for a, b in zip(p.coefficients, basis)]
     return ops
 
 
-def apply_kraus(family: KrausFamily, t: float, rho) -> np.ndarray:
+def apply_kraus(p: TwoLevelParams | ThreeLevelParams, t: float, rho) -> np.ndarray:
     """Channel action ``sum_i K_i rho K_i^dag`` at time ``t``."""
     rho = matcore.as_matrix(rho)
-    if rho.shape != (family.dim, family.dim):
-        raise ValueError(f"state must be {family.dim}x{family.dim}, got {rho.shape}")
-    ops = kraus_at(family, t)
+    if rho.shape != (p.dim, p.dim):
+        raise ValueError(f"state must be {p.dim}x{p.dim}, got {rho.shape}")
+    ops = kraus_at(p, t)
     out = np.zeros_like(rho)
     for k in ops:
         out += k @ rho @ k.conj().T
@@ -493,32 +454,21 @@ def _family_generator(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
     return gen
 
 
-def generator_two_level(p: TwoLevelParams) -> np.ndarray:
-    """Qubit family generator gamma (a1 D(s1) + a2 D(s2) + a3 D(s3)).
+def generator_of(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
+    """Family generator gamma sum_k a_k D(B_k) of a parameter record, B_k
+    the Pauli or Gell-Mann matrices; ValueError outside the CPTP domain.
+    ``generator_two_level`` and ``generator_three_level`` are this function.
 
-    Here D(s_k) = conj(s_k) (x) s_k - I4, so the generator is
+    For the qubit, D(s_k) = conj(s_k) (x) s_k - I4, so the generator is
     gamma (a1 s1 (x) s1 + a2 s2^T (x) s2 + a3 s3 (x) s3 - (a1+a2+a3) I4).
-    Raises ValueError outside the CPTP domain.
+    The Gell-Mann dissipators come from the generic Lindblad formula, as
+    transcribing the closed-form display (transposes land on lambda_2,
+    lambda_5, lambda_7) is error-prone; that display is a test cross-check.
     """
     return _family_generator(_on_domain(p))
 
 
-def generator_three_level(p: ThreeLevelParams) -> np.ndarray:
-    """Qutrit family generator gamma sum_k a_k D(lambda_k), k = 1..8.
-
-    The dissipators of the Gell-Mann matrices come from the generic
-    Lindblad formula, built once at import: transcribing the closed-form
-    display (transposes land on lambda_2, lambda_5, lambda_7) is
-    error-prone, so that display is demoted to a test cross-check.
-    Raises ValueError outside the CPTP domain.
-    """
-    return _family_generator(_on_domain(p))
-
-
-def generator_of(family: KrausFamily) -> np.ndarray:
-    """Generator matrix for any supported family; ValueError outside the
-    CPTP domain."""
-    return _family_generator(_on_domain(family.params))
+generator_two_level = generator_three_level = generator_of
 
 
 def closed_form_spectrum_two_level(p: TwoLevelParams) -> np.ndarray:
@@ -573,7 +523,7 @@ def embed_one_param(a: float, gamma: float = 1.0) -> TwoLevelParams:
     return TwoLevelParams(a / 3.0, (2.0 - a) / 3.0, 0.0, gamma)
 
 
-def kraus_vs_semigroup_deviation(family: KrausFamily, t: float, rho) -> float:
+def kraus_vs_semigroup_deviation(p: TwoLevelParams | ThreeLevelParams, t: float, rho) -> float:
     """Frobenius distance between the Kraus map and ``exp(L t)`` at ``t``.
 
     The parametric Kraus families are tangent to the semigroup at t = 0
@@ -581,7 +531,6 @@ def kraus_vs_semigroup_deviation(family: KrausFamily, t: float, rho) -> float:
     t and generically positive for t > 0.  Both maps are channels, so it is
     at most 2 on a state.
     """
-    via_kraus = apply_kraus(family, t, rho)
-    n = family.dim
-    semigroup = matcore._semigroup(matcore.eigh(generator_of(family)), vec(rho), [t])
-    return float(np.linalg.norm(via_kraus - unvec(semigroup[0], n, n)))
+    via_kraus = apply_kraus(p, t, rho)
+    semigroup = matcore._semigroup(matcore.eigh(generator_of(p)), vec(rho), [t])
+    return float(np.linalg.norm(via_kraus - unvec(semigroup[0], p.dim, p.dim)))

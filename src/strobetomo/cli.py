@@ -195,7 +195,7 @@ def _family_point(args):
     if len(values) != len(cls.axes):
         raise ValueError(f"{args.model} model takes {len(cls.axes)} parameters, got {len(values)}")
     params = cls(*values, gamma=args.gamma)
-    validity = channels._validate(params)
+    validity = channels._validity(params)
     if not validity.cptp_domain:
         raise ValueError("; ".join(validity.violations))
     eigenvalues = channels._family_eigenvalues([params.coefficients], params.gamma)
@@ -205,6 +205,18 @@ def _family_point(args):
 def _params_json(params) -> dict:
     """Every Kraus coefficient, a1 on, the qutrit's derived a7 and a8 included."""
     return {f"a{i}": a for i, a in enumerate(params.coefficients, 1)}
+
+
+def _shots(raw: str) -> int | str:
+    """``--shots``: "exact", or a whole number by ``measure``'s rule (1e5 too)."""
+    if raw == "exact":
+        return raw
+    with contextlib.suppress(ValueError):
+        return int(raw)  # exact past float precision too
+    try:
+        return reconstruct._shot_count(float(raw))
+    except ValueError:
+        raise ValueError(f'--shots must be a whole number or "exact", got {raw!r}') from None
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -338,7 +350,7 @@ def cmd_reconstruct(args) -> int:
             raise ValueError("rho0 must be Hermitian")
         if abs(np.trace(truth).real - 1.0) > 1e-10:
             raise ValueError(f"rho0 must have unit trace, got {np.trace(truth).real}")
-        shots: int | str = "exact" if args.shots == "exact" else int(args.shots)
+        shots = _shots(args.shots)
         if shots != "exact" and args.seed is None:
             raise ValueError("finite shot counts require --seed for reproducibility")
         if args.grid == "default":
@@ -560,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument(
         "--psd-project",
         action="store_true",
-        help="include the eigenvalue-clipped PSD variant in the report",
+        help="include the nearest unit-trace PSD matrix to the estimate in the report",
     )
     p_rec.add_argument("--output", help="write the JSON result here instead of stdout")
 

@@ -324,8 +324,8 @@ class ReconstructionResult:
     """Recovered initial state plus inversion diagnostics.
 
     ``estimate`` is Hermitian with unit trace by construction (symmetrized
-    and trace-renormalized).  ``psd_estimate`` is the optional
-    eigenvalue-clipped variant, present only when requested.
+    and trace-renormalized).  ``psd_estimate`` is the optional nearest
+    unit-trace PSD matrix to it, present only when requested.
     """
 
     estimate: np.ndarray
@@ -394,14 +394,15 @@ def execute(
 
 
 def _psd_projection(rho: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize the trace."""
+    """The unit-trace PSD matrix nearest the Hermitian ``rho`` in Frobenius
+    norm (Smolin, Gambetta and Smith, PRL 108, 070502, 2012): the
+    eigenvalues, projected onto the probability simplex, drop by one common
+    shift, chosen for unit trace, and the negative ones are zeroed."""
     evals, evecs = np.linalg.eigh(rho)
-    clipped = np.clip(evals, 0.0, None)
-    total = clipped.sum()
-    if total <= 0:
-        raise ValueError("PSD projection undefined: no positive spectral weight")
-    clipped /= total
-    return (evecs * clipped) @ evecs.conj().T
+    top = evals[::-1]  # descending; the largest always stays positive
+    shifts = (np.cumsum(top) - 1.0) / np.arange(1, top.size + 1)
+    kept = np.clip(evals - shifts[np.flatnonzero(top > shifts)[-1]], 0.0, None)
+    return (evecs * kept) @ evecs.conj().T
 
 
 def reconstruct_trajectory(gen, result: ReconstructionResult, times) -> list[np.ndarray]:

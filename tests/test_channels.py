@@ -140,6 +140,8 @@ class TestKrausOperators:
     @pytest.mark.parametrize(
         "family_maker,params",
         [(two_level_family, WORKED_2), (three_level_family, WORKED_3)],
+        # Both names are one function, so pytest would name both cases after it.
+        ids=["two_level_family-params0", "three_level_family-params1"],
     )
     def test_completeness_at_all_times(self, family_maker, params):
         """sum K_i^dag K_i = I for every t: the map stays trace preserving."""
@@ -194,6 +196,23 @@ class TestKrausOperators:
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
             assert np.linalg.eigvalsh(out).min() > -1e-12
 
+    def test_a_record_on_its_domain_is_its_family(self):
+        assert two_level_family is three_level_family
+        assert two_level_family(WORKED_2) is WORKED_2
+        assert three_level_family(WORKED_3) is WORKED_3
+
+    def test_kraus_maps_refuse_a_record_off_its_domain(self):
+        """The Kraus maps check the domain themselves: a record off it would
+        take the square root of a negative number."""
+        off = TwoLevelParams(0.6, 0.5, 0.3)
+        message = "; ".join(validate_two_level(off).violations)
+        assert message.startswith("a1+a2+a3 = 1.4")
+        for call in (lambda: kraus_at(off, 0.5), lambda: apply_kraus(off, 0.5, np.eye(2) / 2),
+                     lambda: kraus_vs_semigroup_deviation(off, 0.5, np.eye(2) / 2)):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == message
+
     def test_invalid_parameters_rejected_at_family_construction(self):
         with pytest.raises(ValueError):
             two_level_family(TwoLevelParams(0.6, 0.5, 0.3, gamma=1.0))
@@ -208,6 +227,10 @@ class TestGenerators:
             rates=(0.1, 0.2, 0.3),
         )
         np.testing.assert_allclose(gen, generator_from_lindblad(spec), atol=1e-14)
+
+    def test_one_function_under_each_model_name(self):
+        assert generator_two_level is generator_three_level is generator_of
+        assert validate_two_level is validate_three_level
 
     def test_generator_of_family_dispatch(self):
         np.testing.assert_allclose(

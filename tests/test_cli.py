@@ -159,6 +159,22 @@ class TestAnalyze:
         assert payload["spectral"]["discriminant"] == ["inf", 0.0]
         assert cli._complex_to_json(complex(-np.inf, np.nan)) == ["-inf", "nan"]
 
+    def test_criteria_disagree_where_the_discriminant_underflows(self, capsys):
+        """discriminant_nonzero reads the discriminant's value, so the
+        cross-check with eta can fail: at gamma 1e-60 the spectrum is simple
+        (eta 1, exit 0) but the product of squared gaps underflows to 0."""
+        code, payload = run_json(capsys, ["analyze", *WORKED_ARGS[:4], "--gamma", "1e-60"])
+        assert code == 0
+        assert payload["spectral"]["eta"] == 1
+        assert payload["spectral"]["discriminant"] == [0.0, 0.0]
+        optimality = payload["optimality"]
+        assert optimality["discriminant_nonzero"] is False
+        assert optimality["criteria_agree"] is False
+        assert optimality["notes"][0] == (
+            "eta = 1 and discriminant 0.0 disagree; "
+            "for a diagonalizable generator they must coincide"
+        )
+
     def test_chain_of_four_rates_is_one_cluster(self, capsys):
         """Four qutrit rates chained just inside the cluster cut are one
         cluster of four, geometric = algebraic: eta 4 and mu 6, as in the
@@ -286,6 +302,19 @@ class TestReconstruct:
         )
         assert code == 0
         assert second["frobenius_error"] == first["frobenius_error"]
+
+    def test_shots_in_exponent_notation_run_the_same_campaign(self, capsys, tmp_path):
+        """--shots reads a whole number by measure's rule: 1e5 is 100000."""
+        runs = [run_json(capsys, self.reconstruct_args(tmp_path, shots=shots, seed="7"))
+                for shots in ("100000", "1e5", "100000.0")]
+        assert runs[0][0] == 0 and runs[0][1]["shots"] == 100000
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("shots", ["2.5", "abc", "nan", "inf", "1e400"])
+    def test_shots_that_are_not_whole_exit_1_naming_the_flag(self, capsys, tmp_path, shots):
+        code = main(self.reconstruct_args(tmp_path, shots=shots, seed="7"))
+        err = assert_one_line_error(capsys, code)
+        assert err == f'error: --shots must be a whole number or "exact", got {shots!r}\n'
 
     def test_observable_seed_mode(self, capsys, tmp_path):
         rho = write_matrix(tmp_path / "rho.json", self.RHO)
@@ -502,7 +531,7 @@ def _near_tie_points(model, count, rng):
         i, j = rng.choice(d, 2, replace=False)
         a[j] = a[i] * (1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -6))
         params = cli.MODELS[model](*a.tolist(), gamma=float(rng.uniform(0.5, 3.0)))
-        if channels._validate(params).cptp_domain:
+        if channels._validity(params).cptp_domain:
             points.append(["--model", model, "--params", ",".join(map(repr, a.tolist())),
                            "--gamma", repr(params.gamma)])
     return points

@@ -14,6 +14,7 @@ from strobetomo.channels import (
 )
 from strobetomo.matcore import ConditioningError, _hermitian_basis
 from strobetomo.reconstruct import (
+    _psd_projection,
     MeasurementRecord,
     TimeGrid,
     default_time_grid,
@@ -518,6 +519,51 @@ class TestExecute:
         evals = np.linalg.eigvalsh(result.psd_estimate)
         assert evals.min() > -1e-14
         assert np.trace(result.psd_estimate).real == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def rotated(values, seed):
+        """Hermitian matrix with eigenvalues ``values`` in a seeded unitary basis."""
+        rng = np.random.default_rng(seed)
+        n = len(values)
+        u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        return (u * np.asarray(values, dtype=float)) @ u.conj().T
+
+    @staticmethod
+    def clip_and_renormalise(rho):
+        """Clip the negative eigenvalues and renormalise the trace: the
+        reference the projection is compared with."""
+        evals, evecs = np.linalg.eigh(rho)
+        clipped = np.clip(evals, 0.0, None)
+        return (evecs * (clipped / clipped.sum())) @ evecs.conj().T
+
+    def test_psd_projection_is_the_simplex_projection_of_the_spectrum(self):
+        """Eigenvalues (0.6, 0.5, -0.1) become (0.55, 0.45, 0): the negative
+        weight is spread evenly over the rest (Smolin, Gambetta and Smith)."""
+        rho = self.rotated([0.6, 0.5, -0.1], seed=3)
+        psd = _psd_projection(rho)
+        np.testing.assert_allclose(np.linalg.eigvalsh(psd), [0.0, 0.45, 0.55], atol=1e-14)
+        np.testing.assert_allclose(psd, self.rotated([0.55, 0.45, 0.0], seed=3), atol=1e-14)
+
+    def test_psd_projection_is_no_farther_than_clipping(self):
+        rng = np.random.default_rng(21)
+        for seed in range(50):
+            values = rng.dirichlet(np.ones(3)) + rng.normal(scale=0.2, size=3)
+            rho = self.rotated(values / values.sum(), seed)
+            psd = _psd_projection(rho)
+            assert np.linalg.eigvalsh(psd).min() > -1e-14
+            assert np.trace(psd).real == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(psd, psd.conj().T, atol=0)
+            clipped = np.linalg.norm(self.clip_and_renormalise(rho) - rho)
+            assert np.linalg.norm(psd - rho) <= clipped + 1e-14
+
+    def test_qubit_psd_projection_is_clipping(self):
+        """A unit-trace qubit with a negative eigenvalue projects onto the
+        pure state of its other eigenvector, as clipping gives."""
+        for seed in range(20):
+            rho = self.rotated([1.0 + 0.01 * seed, -0.01 * seed], seed)
+            np.testing.assert_allclose(
+                _psd_projection(rho), self.clip_and_renormalise(rho), rtol=0, atol=1e-15
+            )
 
     def test_trajectory_round_trip(self):
         grid = default_time_grid(GEN_2, 3)
