@@ -1,9 +1,9 @@
 """Parametric Kraus channel families and their GKSL generators.
 
-Two concrete families are provided, plus a generic Lindblad route.  A
-parameter record is its family: one function of the record does each job
-for both models, under each model's name (``generator_two_level is
-generator_three_level is generator_of``, and so for ``validate_*``):
+Two concrete families are provided.  A parameter record is its family:
+one function of the record does each job for both models, under each
+model's name (``generator_two_level is generator_three_level is
+generator_of``, and so for ``validate_*``):
 
 * a three-parameter qubit family built on the Pauli matrices, with
   decoherence profile ``kappa(t) = exp(-gamma t)``:
@@ -14,11 +14,10 @@ generator_three_level is generator_of``, and so for ``validate_*``):
 
 Both family generators are linear in the parameters,
 ``L = gamma sum_k a_k D(B_k)``, where ``D(B_k)`` is the dissipator of the
-k-th Pauli or Gell-Mann matrix.  The dissipators are built once at import,
-with the same formula :func:`generator_from_lindblad` uses, and they are
-real, so a generator is one fixed-order sum over them
-(``_family_generator``).  Both generators are *real symmetric* matrices in
-vectorized form, diagonal in the fixed Hermitian basis
+k-th Pauli or Gell-Mann matrix.  The dissipators are built once at import
+by ``_dissipator``, and they are real, so a generator is one fixed-order
+sum over them (``_family_generator``).  Both generators are *real
+symmetric* matrices in vectorized form, diagonal in the fixed Hermitian basis
 ``matcore._hermitian_basis``: L(a) = U^dagger diag(gamma M a) U, with M
 (4 x 3 or 9 x 8) read off the dissipators' diagonals at import.
 ``_family_eigenvalues`` gives a whole array of points' sorted eigenvalues
@@ -35,17 +34,11 @@ Pauli/Gell-Mann convention).  The dependent-coefficient identities above
 close only under this normalization, which is why it is pinned here and
 verified by the channel-completeness tests.
 
-The vectorized generator of ``d rho/dt = -i[H, rho] + sum_i gamma_i
-(V_i rho V_i^dag - (1/2){V_i^dag V_i, rho})`` is, in column-major vec
-convention,
+The vectorized dissipator of ``d rho/dt = V rho V^dag - (1/2){V^dag V,
+rho}`` is, in column-major vec convention (``vec(XYZ) = (Z^T (x) X)
+vec(Y)``),
 
-    L = -i (I (x) H - H^T (x) I)
-        + sum_i gamma_i ( conj(V_i) (x) V_i
-                          - 1/2 I (x) V_i^dag V_i
-                          - 1/2 (V_i^T conj(V_i)) (x) I ).
-
-The sign/ordering of the Hamiltonian term is forced by requiring
-``vec(-i[H, rho]) = L_H vec(rho)`` under ``vec(XYZ) = (Z^T (x) X) vec(Y)``.
+    D(V) = conj(V) (x) V - 1/2 I (x) V^dag V - 1/2 (V^T conj(V)) (x) I.
 """
 
 from __future__ import annotations
@@ -61,7 +54,6 @@ from .matcore import vec, unvec
 __all__ = [
     "TwoLevelParams",
     "ThreeLevelParams",
-    "LindbladSpec",
     "ValidityReport",
     "pauli",
     "gellmann",
@@ -71,7 +63,6 @@ __all__ = [
     "three_level_family",
     "kraus_at",
     "apply_kraus",
-    "generator_from_lindblad",
     "generator_two_level",
     "generator_three_level",
     "generator_of",
@@ -200,40 +191,6 @@ class ThreeLevelParams:
     def completeness_factor(self) -> float:
         """f = (2/3)(2a1+2a2+2a3+a4+a5); must satisfy f <= 1."""
         return (2.0 / 3.0) * (2 * (self.a1 + self.a2 + self.a3) + self.a4 + self.a5)
-
-
-@dataclass(frozen=True)
-class LindbladSpec:
-    """Generic GKSL data: a Hamiltonian (Hermitian to 1e-12 of its largest
-    entry), jump operators and nonnegative rates."""
-
-    hamiltonian: np.ndarray
-    jump_operators: tuple[np.ndarray, ...]
-    rates: tuple[float, ...]
-
-    def __post_init__(self):
-        h = matcore.as_matrix(self.hamiltonian)
-        if h.shape[0] != h.shape[1]:
-            raise ValueError("Hamiltonian must be square")
-        if matcore._hermitian_part(h) is None:
-            raise ValueError("Hamiltonian must be Hermitian to 1e-12 of its largest entry")
-        jumps = tuple(matcore.as_matrix(v) for v in self.jump_operators)
-        rates = tuple(float(r) for r in self.rates)
-        if len(jumps) != len(rates):
-            raise ValueError("one rate per jump operator required")
-        for v in jumps:
-            if v.shape != h.shape:
-                raise ValueError("all operators must share the Hamiltonian's shape")
-        for r in rates:
-            if r < 0:
-                raise ValueError(f"rates must be nonnegative, got {r}")
-        object.__setattr__(self, "hamiltonian", h)
-        object.__setattr__(self, "jump_operators", jumps)
-        object.__setattr__(self, "rates", rates)
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
 
 
 @dataclass(frozen=True)
@@ -418,17 +375,6 @@ def _gamma_limit(n: int) -> float:
     return float(np.finfo(float).max / (n * n * _UNIT_RATE_RADIUS[n] * (1 + 1e-12)))
 
 
-def generator_from_lindblad(spec: LindbladSpec) -> np.ndarray:
-    """Vectorized GKSL generator for arbitrary (H, {V_i}, {gamma_i})."""
-    n = spec.dim
-    eye = np.eye(n, dtype=complex)
-    h = spec.hamiltonian
-    gen = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for v, rate in zip(spec.jump_operators, spec.rates):
-        gen = gen + rate * _dissipator(v)
-    return gen
-
-
 def _family_eigenvalues(coeffs, gamma: float) -> np.ndarray:
     """Ascending (k, n^2) generator eigenvalues of a (k, 3) or (k, 8) array
     of Kraus coefficients, read off the closed form gamma M a.  M's columns
@@ -461,9 +407,9 @@ def generator_of(p: TwoLevelParams | ThreeLevelParams) -> np.ndarray:
 
     For the qubit, D(s_k) = conj(s_k) (x) s_k - I4, so the generator is
     gamma (a1 s1 (x) s1 + a2 s2^T (x) s2 + a3 s3 (x) s3 - (a1+a2+a3) I4).
-    The Gell-Mann dissipators come from the generic Lindblad formula, as
-    transcribing the closed-form display (transposes land on lambda_2,
-    lambda_5, lambda_7) is error-prone; that display is a test cross-check.
+    The Gell-Mann dissipators come from ``_dissipator``, as transcribing
+    the closed-form display (transposes land on lambda_2, lambda_5,
+    lambda_7) is error-prone; that display is a test cross-check.
     """
     return _family_generator(_on_domain(p))
 

@@ -22,6 +22,10 @@ matrices serialize as ``{"rows": r, "cols": c, "data": [[re, im], ...]}``
 with ROW-MAJOR data order (serialization order is deliberately independent
 of the column-major vec convention used internally).  Measurement CSVs use
 the ``t,value,shots`` layout of :mod:`strobetomo.reconstruct`.
+``reconstruct --records CSV`` inverts such a file: it reads the model
+flags, the observable, ``--psd-project``, ``--output`` and ``--grid``,
+which must then equal the CSV's instants, and refuses each of the
+simulation flags ``SIMULATION_FLAGS`` with exit 1.
 
 The ``--tol`` flag sets the relative rank tolerance (default 1e-9) for
 one invocation; it must be finite and positive.  It is passed explicitly to
@@ -320,7 +324,25 @@ def cmd_check_observable(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The flags only simulation mode reads; records mode refuses each one given.
+SIMULATION_FLAGS = ("--rho0", "--shots", "--seed", "--records-out")
+
+
+def _time_grid(spec: str, system, n: int):
+    """The ``--grid`` of an n-level system: "default" or comma-separated instants."""
+    if spec == "default":
+        return reconstruct.default_time_grid(system, n * n - 1)
+    instants = tuple(float(x) for x in spec.split(",") if x.strip() != "")
+    return reconstruct.TimeGrid(instants=instants, horizon=max(instants, default=0.0))
+
+
 def cmd_reconstruct(args) -> int:
+    simulation = args.records is None
+    if not simulation:
+        for flag in SIMULATION_FLAGS:
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ValueError(f"{flag} is a simulation-mode flag; records mode (--records) "
+                                 f"takes none of {', '.join(SIMULATION_FLAGS)}")
     params, _, report = _family_point(args)
     n = params.dim
     if report.eta != 1:  # where analyze exits 2
@@ -338,7 +360,6 @@ def cmd_reconstruct(args) -> int:
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot obtain observable: {exc}") from None
 
-    simulation = args.records is None
     truth = None
     if simulation:
         if not args.rho0:
@@ -350,14 +371,10 @@ def cmd_reconstruct(args) -> int:
             raise ValueError("rho0 must be Hermitian")
         if abs(np.trace(truth).real - 1.0) > 1e-10:
             raise ValueError(f"rho0 must have unit trace, got {np.trace(truth).real}")
-        shots = _shots(args.shots)
+        shots = _shots("exact" if args.shots is None else args.shots)
         if shots != "exact" and args.seed is None:
             raise ValueError("finite shot counts require --seed for reproducibility")
-        if args.grid == "default":
-            grid = reconstruct.default_time_grid(system, n * n - 1)
-        else:
-            instants = tuple(float(x) for x in args.grid.split(",") if x.strip() != "")
-            grid = reconstruct.TimeGrid(instants=instants, horizon=max(instants, default=0.0))
+        grid = _time_grid("default" if args.grid is None else args.grid, system, n)
         records = reconstruct.simulate_records(system, obs, truth, grid, shots, seed=args.seed)
         if args.records_out:
             text = io.StringIO()
@@ -371,6 +388,8 @@ def cmd_reconstruct(args) -> int:
             raise ValueError("records CSV contains duplicate time instants")
         ordered = sorted(instants)
         grid = reconstruct.TimeGrid(instants=tuple(ordered), horizon=ordered[-1])
+        if args.grid is not None and _time_grid(args.grid, system, n).instants != grid.instants:
+            raise ValueError(f"--grid {args.grid} differs from the instants of the records CSV")
 
     plan_ = reconstruct.plan(system, obs, grid, tol=args.tol)
     result = reconstruct.execute(plan_, records, psd_project=args.psd_project)
@@ -558,14 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--rho0", help="initial state JSON file (simulation mode)")
     p_rec.add_argument(
         "--shots",
-        default="exact",
         help='shot count per instant, or "exact" (simulation mode; default exact)',
     )
     p_rec.add_argument("--seed", type=int, help="measurement RNG seed (finite shots)")
     p_rec.add_argument(
         "--grid",
-        default="default",
-        help='"default" for the equispaced spectral grid, or comma-separated instants',
+        help='"default" (the default) for the equispaced spectral grid, or comma-separated '
+        "instants; with --records, the CSV's instants",
     )
     p_rec.add_argument("--records", help="invert this measurement CSV instead of simulating")
     p_rec.add_argument("--records-out", help="also write simulated records to this CSV")

@@ -29,10 +29,10 @@ generator is decomposed once, into the :class:`Eigensystem` that
 :func:`eigh` returns and, once checked, hands back unchanged, so every later
 stage can take it: its eigenvalues settle eta and mu by ``_cluster_labels``
 (``analysis.SpectralReport`` holds the clustered spectrum), and every
-evolution exp(L t) takes ``_semigroup``, the one rule for its modes, and
-through it :func:`propagate`.  Family generators are diagonal in
-``_hermitian_basis``, so :mod:`.channels` reads their eigenvalues off it in
-closed form, with no solver.  The module uses numpy alone.
+evolution exp(L t) takes ``_semigroup``, the one rule for its modes.
+Family generators are diagonal in ``_hermitian_basis``, so :mod:`.channels`
+reads their eigenvalues off it in closed form, with no solver.  The module
+uses numpy alone.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "vec",
     "unvec",
     "eigh",
-    "propagate",
 ]
 
 #: Relative singular-value cutoff separating true degeneracy from rounding
@@ -222,29 +221,15 @@ def eigh(m) -> Eigensystem:
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def propagate(eigensystem, x, times) -> np.ndarray:
-    """``exp(m t) x`` for every ``t`` in ``times``, one row per instant.
-
-    ``eigensystem`` is ``(values, vectors)`` from :func:`eigh`, so the
-    action is V e^{values t} V^dagger x for all instants at once.  A
-    generator's evolution takes :func:`_semigroup`, which applies its rule
-    first.
-    """
-    values, vectors = eigensystem
-    coords = vectors.conj().T @ np.asarray(x, dtype=complex)
-    out = (np.exp(np.outer(times, values)) * coords) @ vectors.T
-    if not np.all(np.isfinite(out)):
-        raise NumericalFailure("matrix exponential produced non-finite entries")
-    return out
-
-
 def _semigroup(eigensystem, x, times) -> np.ndarray:
     """``exp(L t) x`` of a generator L for every ``t`` in ``times``, one row
     per instant, from ``(values, vectors)`` of L (or of the modes kept) by
-    :func:`eigh`: the one evolution rule.  Instants must be finite and >= 0.
-    An eigenvalue within 1e-12 max|lambda| of 0 is the 0 it rounds, whatever
-    its sign; a larger positive one is a growing mode, refused with
-    ValueError; lambda t below the float range evolves as 0.
+    :func:`eigh`: the one evolution rule, V e^{values t} V^dagger x for all
+    instants at once.  Instants must be finite and >= 0.  An eigenvalue
+    within 1e-12 max|lambda| of 0 is the 0 it rounds, whatever its sign; a
+    larger positive one is a growing mode, refused with ValueError; lambda t
+    below the float range evolves as 0.  A non-finite result raises
+    :class:`NumericalFailure`.
     """
     times = np.asarray(times, dtype=float)
     bad = ~((times >= 0) & (times < np.inf))  # nan fails both
@@ -256,5 +241,9 @@ def _semigroup(eigensystem, x, times) -> np.ndarray:
     if values[-1] > cut:
         raise ValueError(f"generator has a growing mode (eigenvalue {values[-1]:.3e} > 0)")
     values = np.where(size <= cut, 0.0, values)
+    coords = vectors.conj().T @ np.asarray(x, dtype=complex)
     with np.errstate(over="ignore"):  # lambda t past -1.8e308 is -inf, whose exponential is 0
-        return propagate((values, vectors), x, times)
+        out = (np.exp(np.outer(times, values)) * coords) @ vectors.T
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure("matrix exponential produced non-finite entries")
+    return out

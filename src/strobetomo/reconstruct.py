@@ -46,7 +46,6 @@ __all__ = [
     "ReconstructionResult",
     "default_time_grid",
     "evolve",
-    "expectation",
     "measure",
     "simulate_records",
     "plan",
@@ -122,7 +121,7 @@ def _require_optimal(values, requirement: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# evolution, expectation, measurement
+# evolution and measurement
 # ---------------------------------------------------------------------------
 
 
@@ -139,22 +138,11 @@ def _trajectory(eigensystem, rho0, times) -> list[np.ndarray]:
     return [unvec(v, n, n) for v in matcore._semigroup(eigensystem, vec(rho0), times)]
 
 
-def expectation(q, rho) -> float:
-    """Tr(Q rho) for Hermitian Q; the imaginary part (rounding only) is
-    checked and discarded."""
-    q = np.asarray(q, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    val = complex(np.trace(q @ rho))
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) > 1e-10 * scale:
-        raise ValueError(f"expectation value has a non-negligible imaginary part: {val}")
-    return float(val.real)
-
-
 def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     """One measurement record, exact or shot-noisy.
 
-    ``shots="exact"`` returns Tr(Q rho).  A shot count, a whole number from
+    ``shots="exact"`` returns Tr(Q rho), whose imaginary part (rounding
+    only) is checked and discarded.  A shot count, a whole number from
     1 to 2**63 - 1 (a bool or 2.7 is refused, not truncated), draws that
     many outcomes from Q's eigenvalues with Born probabilities
     <q_k|rho|q_k> (multinomially, seeded) and returns the sample mean.
@@ -165,7 +153,10 @@ def measure(q, rho, shots, seed=None, t: float = 0.0) -> "MeasurementRecord":
     q = analysis._observable(q).matrix
     rho = matcore.as_matrix(rho)
     if shots == "exact":
-        return MeasurementRecord(t=t, value=expectation(q, rho), shots="exact")
+        val = complex(np.trace(q @ rho))
+        if abs(val.imag) > 1e-10 * max(abs(val), 1.0):
+            raise ValueError(f"expectation value has a non-negligible imaginary part: {val}")
+        return MeasurementRecord(t=t, value=float(val.real), shots="exact")
     shots = _shot_count(shots)
     if not 1 <= shots < 2**63:  # the sampler's counts are 64-bit
         raise ValueError(f"shot count must be between 1 and 2**63 - 1, got {shots}")

@@ -15,7 +15,6 @@ from strobetomo.analysis import (
     two_level_admissible,
 )
 from strobetomo.channels import (
-    LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
     _GELLMANN_DISSIPATORS,
@@ -26,7 +25,6 @@ from strobetomo.channels import (
     _family_generator,
     closed_form_spectrum_three_level,
     closed_form_spectrum_two_level,
-    generator_from_lindblad,
     generator_three_level,
     generator_two_level,
     pauli,
@@ -34,7 +32,8 @@ from strobetomo.channels import (
 )
 from strobetomo import matcore
 from strobetomo.matcore import CLUSTER_TOL, _hermitian_basis, vec
-from strobetomo.reconstruct import default_time_grid
+from strobetomo.reconstruct import TimeGrid, default_time_grid, plan
+from gksl import dissipator_sum, hamiltonian_term
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0))
 GEN_3 = generator_three_level(ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.06, gamma=1.0))
@@ -435,7 +434,7 @@ def hermitian_lindblad_generators(seed, count):
             x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             jumps.append((x + x.conj().T) / 2)
         rates = tuple(rng.uniform(0.1, 1.0, size=len(jumps)))
-        yield generator_from_lindblad(LindbladSpec(np.zeros((n, n)), tuple(jumps), rates))
+        yield dissipator_sum(jumps, rates)
 
 
 def count_spectral_calls(monkeypatch):
@@ -454,9 +453,10 @@ def count_spectral_calls(monkeypatch):
 
 
 def gksl_with_hamiltonian(scale):
-    """A GKSL generator with a Hamiltonian and a non-normal jump: not Hermitian."""
+    """A GKSL generator with the Hamiltonian scale sigma_z and the non-normal
+    lowering jump at rate ``scale``: not Hermitian."""
     lowering = np.array([[0, 1], [0, 0]], dtype=complex)
-    return generator_from_lindblad(LindbladSpec(scale * pauli(3), (lowering,), (scale,)))
+    return hamiltonian_term(scale * pauli(3)) + dissipator_sum((lowering,), (scale,))
 
 
 class TestSpectralRoute:
@@ -510,6 +510,16 @@ class TestSpectralRoute:
         for gen in (scale * jordan((-1.0, 2)), gksl_with_hamiltonian(scale)):
             with pytest.raises(ValueError, match="Hermitian"):
                 spectral_report(gen)
+
+    def test_gksl_with_hamiltonian_is_refused_by_every_stage(self):
+        """Built directly, a Hamiltonian plus a lowering jump: each stage
+        that takes a generator refuses it with ValueError."""
+        gen = gksl_with_hamiltonian(0.5)
+        grid = TimeGrid(instants=(0.5, 1.0, 1.5), horizon=1.5)
+        for stage in (lambda: spectral_report(gen), lambda: span_report(gen, [pauli(1)]),
+                      lambda: default_time_grid(gen, 3), lambda: plan(gen, pauli(1), grid)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                stage()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_a_value_error(self, bad):
@@ -750,9 +760,8 @@ class TestSpanReport:
             assert margin == pytest.approx(expected / np.linalg.norm(q), rel=1e-9)
 
     def test_rejects_non_hermitian_generator(self):
-        spec = LindbladSpec(hamiltonian=pauli(3), jump_operators=(pauli(1),), rates=(0.5,))
         with pytest.raises(ValueError, match="Hermitian"):
-            span_report(generator_from_lindblad(spec), [pauli(1)])
+            span_report(gksl_with_hamiltonian(0.5), [pauli(1)])
 
     def test_rejects_non_hermitian_observable(self):
         """The span test takes an observable through the one gate, as plan

@@ -14,7 +14,6 @@ from strobetomo.channels import (
     _family_eigenvalues,
     _family_generator,
     _gamma_limit,
-    LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
     apply_kraus,
@@ -22,7 +21,6 @@ from strobetomo.channels import (
     closed_form_spectrum_two_level,
     embed_one_param,
     gellmann,
-    generator_from_lindblad,
     generator_of,
     generator_three_level,
     generator_two_level,
@@ -34,6 +32,7 @@ from strobetomo.channels import (
     validate_three_level,
     validate_two_level,
 )
+from gksl import dissipator_sum, hamiltonian_term
 
 WORKED_2 = TwoLevelParams(0.1, 0.2, 0.3, gamma=1.0)
 WORKED_3 = ThreeLevelParams(0.1, 0.15, 0.2, 0.05, 0.08, 0.06, gamma=1.0)
@@ -220,13 +219,10 @@ class TestKrausOperators:
 
 class TestGenerators:
     def test_two_level_closed_form_matches_generic_route(self):
+        """The generic route: the GKSL sum over the Pauli jumps at rates a_k."""
         gen = generator_two_level(WORKED_2)
-        spec = LindbladSpec(
-            hamiltonian=np.zeros((2, 2)),
-            jump_operators=(pauli(1), pauli(2), pauli(3)),
-            rates=(0.1, 0.2, 0.3),
-        )
-        np.testing.assert_allclose(gen, generator_from_lindblad(spec), atol=1e-14)
+        expected = dissipator_sum((pauli(1), pauli(2), pauli(3)), (0.1, 0.2, 0.3))
+        np.testing.assert_allclose(gen, expected, atol=1e-14)
 
     def test_one_function_under_each_model_name(self):
         assert generator_two_level is generator_three_level is generator_of
@@ -260,36 +256,13 @@ class TestGenerators:
             np.testing.assert_allclose(gen, gen.conj().T, atol=1e-14)
 
     def test_hamiltonian_term_sign(self):
-        """d rho/dt = -i[H, rho] for a pure Hamiltonian generator."""
+        """d rho/dt = -i[H, rho] for the Hamiltonian term the refusal tests
+        build their non-Hermitian generators with."""
         h = np.array([[1.0, 0.3], [0.3, -1.0]])
-        spec = LindbladSpec(hamiltonian=h, jump_operators=(), rates=())
-        gen = generator_from_lindblad(spec)
+        gen = hamiltonian_term(h)
         rho = random_density(np.random.default_rng(13), 2)
         lhs = matcore.unvec(gen @ matcore.vec(rho), 2, 2)
         np.testing.assert_allclose(lhs, -1j * (h @ rho - rho @ h), atol=1e-13)
-
-    @pytest.mark.parametrize("h,jumps,rates,match", [
-        (np.zeros((2, 3)), (), (), "Hamiltonian must be square"),
-        (np.zeros((2, 2)), (pauli(1), pauli(2)), (0.5,), "one rate per jump operator"),
-        (np.zeros((2, 2)), (np.eye(3),), (0.5,), "share the Hamiltonian's shape"),
-    ], ids=["non-square H", "rate count", "jump shape"])
-    def test_lindblad_spec_refuses_malformed_data(self, h, jumps, rates, match):
-        with pytest.raises(ValueError, match=match):
-            LindbladSpec(hamiltonian=h, jump_operators=jumps, rates=rates)
-
-    def test_lindblad_spec_validation(self):
-        with pytest.raises(ValueError):
-            LindbladSpec(
-                hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]),  # not Hermitian
-                jump_operators=(),
-                rates=(),
-            )
-        with pytest.raises(ValueError):
-            LindbladSpec(
-                hamiltonian=np.zeros((2, 2)),
-                jump_operators=(pauli(1),),
-                rates=(-0.5,),
-            )
 
 
 unit = st.floats(0.0, 1.0)
@@ -314,26 +287,17 @@ def three_level_points(draw):
     return (a1, a2, a3, a4, a5, a6)
 
 
-def lindblad_route(ops, coefficients, gamma):
-    n = ops[0].shape[0]
-    spec = LindbladSpec(
-        hamiltonian=np.zeros((n, n)),
-        jump_operators=ops,
-        rates=tuple(gamma * a for a in coefficients),
-    )
-    return generator_from_lindblad(spec)
-
-
 class TestGeneratorProperties:
     """Both family generators, gamma sum_k a_k D(B_k) over the dissipator
-    stacks, against the generic Lindblad route on random in-domain points."""
+    stacks, against the generic Lindblad route, the GKSL sum of the test
+    helper ``gksl.dissipator_sum``, to 1e-14 on random in-domain points."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(a=two_level_points(), gamma=gammas)
     def test_two_level_matches_lindblad_route(self, a, gamma):
         p = TwoLevelParams(*a, gamma=gamma)
         ops = tuple(pauli(k) for k in (1, 2, 3))
-        expected = lindblad_route(ops, p.coefficients, gamma)
+        expected = dissipator_sum(ops, [gamma * a for a in p.coefficients])
         np.testing.assert_allclose(generator_two_level(p), expected, rtol=0, atol=1e-14)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
@@ -342,7 +306,7 @@ class TestGeneratorProperties:
         p = ThreeLevelParams(*a, gamma=gamma)
         assert validate_three_level(p).cptp_domain
         ops = tuple(gellmann(k) for k in range(1, 9))
-        expected = lindblad_route(ops, p.coefficients, gamma)
+        expected = dissipator_sum(ops, [gamma * a for a in p.coefficients])
         np.testing.assert_allclose(generator_three_level(p), expected, rtol=0, atol=1e-14)
 
     @settings(derandomize=True, max_examples=200, deadline=None)

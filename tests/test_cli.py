@@ -364,6 +364,45 @@ class TestReconstruct:
         values = [r.value for r in reconstruct.records_from_csv(csv_path)]
         assert values == pytest.approx([half_trace] * 3, rel=1e-15)
 
+    def records_argv(self, capsys, tmp_path):
+        """The records CSV of the worked campaign, and the argv that inverts it."""
+        csv_path = tmp_path / "records.csv"
+        assert main(self.reconstruct_args(tmp_path, **{"records-out": str(csv_path)})) == 0
+        capsys.readouterr()
+        argv = ["reconstruct", *WORKED_ARGS, "--observable", str(tmp_path / "q.json")]
+        return csv_path, [*argv, "--records", str(csv_path)]
+
+    @pytest.mark.parametrize("flags", [
+        ["--rho0", "rho.json"], ["--shots", "abc"], ["--seed", "3"], ["--records-out", "out.csv"],
+        ["--shots", "abc", "--grid", "5,6,7", "--seed", "3", "--rho0", "missing.json",
+         "--records-out", "out.csv"],
+    ], ids=["rho0", "shots", "seed", "records-out", "all"])
+    def test_records_mode_refuses_simulation_flags(self, capsys, tmp_path, flags):
+        """Records mode reads none of the simulation flags: given one, or all
+        of them, it exits 1 with one line naming the first, and writes no file."""
+        _, argv = self.records_argv(capsys, tmp_path)
+        files = sorted(tmp_path.iterdir())
+        flags = [str(tmp_path / f) if f.endswith((".json", ".csv")) else f for f in flags]
+        code = main([*argv, *flags, "--output", str(tmp_path / "r.json")])
+        err = assert_one_line_error(capsys, code)
+        first = next(f for f in cli.SIMULATION_FLAGS if f in flags)
+        assert err.startswith(f"error: {first} is a simulation-mode flag; ")
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_records_mode_grid_must_equal_the_csv_instants(self, capsys, tmp_path):
+        """A --grid equal to the CSV's instants, listed or "default", changes
+        no byte of the output; one that differs exits 1 naming the flag."""
+        csv_path, argv = self.records_argv(capsys, tmp_path)
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        listed = ",".join(repr(r.t) for r in reconstruct.records_from_csv(csv_path))
+        for grid in (listed, "default"):
+            assert main([*argv, "--grid", grid]) == 0
+            assert capsys.readouterr().out == plain
+        for grid in ("5,6,7", listed + ",9"):
+            err = assert_one_line_error(capsys, main([*argv, "--grid", grid]))
+            assert err.startswith("error: --grid ")
+
     def test_duplicate_record_instants_exit_1(self, capsys, tmp_path):
         csv_path = tmp_path / "dup.csv"
         csv_path.write_text("t,value,shots\n0.5,0.1,exact\n0.5,0.2,exact\n1.0,0.3,exact\n")

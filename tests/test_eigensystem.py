@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 from strobetomo import analysis, matcore, reconstruct
 from strobetomo.channels import (
-    LindbladSpec,
     ThreeLevelParams,
     TwoLevelParams,
-    generator_from_lindblad,
     generator_three_level,
     generator_two_level,
 )
+from gksl import dissipator_sum
 
 GEN_2 = generator_two_level(TwoLevelParams(0.1, 0.2, 0.3))
 Q_2 = np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
@@ -88,7 +87,7 @@ def random_generator(kind, rng):
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         jumps.append(x + x.conj().T)
     rates = tuple(rng.uniform(0.1, 1.0, len(jumps)))
-    return generator_from_lindblad(LindbladSpec(np.zeros((n, n)), tuple(jumps), rates))
+    return dissipator_sum(jumps, rates)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

@@ -6,12 +6,8 @@ import pytest
 
 from strobetomo import analysis, matcore, reconstruct
 from strobetomo.analysis import ObservableSpec, span_report, spectral_report
-from strobetomo.channels import (
-    LindbladSpec,
-    TwoLevelParams,
-    generator_from_lindblad,
-    generator_two_level,
-)
+from strobetomo.channels import TwoLevelParams, generator_two_level
+from gksl import dissipator_sum
 
 #: A Jordan block at the scale of rounding: not Hermitian at its own scale.
 JORDAN = 1e-13 * np.array([[-1.0, 1.0], [0.0, -1.0]])
@@ -37,7 +33,7 @@ def lindblad_generator(rate):
     rounding of its Kronecker products, at any rate."""
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    return generator_from_lindblad(LindbladSpec(np.zeros((3, 3)), (x + x.conj().T,), (rate,)))
+    return dissipator_sum((x + x.conj().T,), (rate,))
 
 
 class TestJordanBlockAtRoundingScale:
@@ -87,7 +83,6 @@ class TestScaleInvariance:
             assert (report.eta, report.mu) == (unit.eta, unit.mu)
             near = scale * (Q_2 + [[0.0, 1e-14], [0.0, 0.0]])  # Hermitian to 1e-14 of its scale
             ObservableSpec.from_matrix(near)
-            LindbladSpec(near, (), ())
 
     def test_non_hermitian_matrices_are_refused_at_every_scale(self):
         for scale in SCALES:
@@ -98,5 +93,3 @@ class TestScaleInvariance:
                 spectral_report(m)
             with pytest.raises(ValueError, match="Hermitian"):
                 ObservableSpec.from_matrix(m)
-            with pytest.raises(ValueError, match="Hermitian"):
-                LindbladSpec(m, (), ())

@@ -6,8 +6,8 @@ from strobetomo.analysis import spectral_report
 from strobetomo.matcore import (
     CLUSTER_TOL,
     NumericalFailure,
+    _semigroup,
     eigh,
-    propagate,
     unvec,
     vec,
 )
@@ -202,41 +202,42 @@ class TestClusterLabels:
 
 
 class TestExpmApply:
-    """The action of the matrix exponential, exp(m t) v, through ``propagate``
-    on one ``eigh`` of a Hermitian m."""
+    """The action of the matrix exponential, exp(m t) v, through
+    ``matcore._semigroup`` on one ``eigh`` of a negative semidefinite m."""
 
     def test_t_zero_is_identity(self):
         m = np.random.default_rng(4).standard_normal((5, 5))
         v = np.arange(5.0)
-        np.testing.assert_allclose(propagate(eigh(m + m.T), v, [0.0])[0], v, atol=1e-13)
+        np.testing.assert_allclose(_semigroup(eigh(-m @ m.T), v, [0.0])[0], v, atol=1e-13)
 
     def test_matches_eigendecomposition(self):
         """Against the exponential series, summed to convergence."""
         rng = np.random.default_rng(5)
         for _ in range(10):
             x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            m = x + x.conj().T
+            m = -(x @ x.conj().T) / 2
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             expected, term = v.copy(), v.copy()
             for k in range(1, 60):
                 term = 0.37 * m @ term / k
                 expected = expected + term
-            np.testing.assert_allclose(propagate(eigh(m), v, [0.37])[0], expected, atol=1e-12)
+            np.testing.assert_allclose(_semigroup(eigh(m), v, [0.37])[0], expected, atol=1e-12)
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         system = eigh(-(x @ x.conj().T))
         v = rng.standard_normal(3)
-        rows = propagate(system, v, [0.3, 0.8])
+        rows = _semigroup(system, v, [0.3, 0.8])
         assert rows.shape == (2, 3)
-        np.testing.assert_allclose(rows[1], propagate(system, rows[0], [0.5])[0], atol=1e-12)
+        np.testing.assert_allclose(rows[1], _semigroup(system, rows[0], [0.5])[0], atol=1e-12)
 
     def test_non_finite_result_raises(self):
+        """A decaying mode's coordinate of x past the float range."""
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalFailure, match="non-finite"
         ):
-            propagate(eigh(np.eye(2)), np.ones(2), [1e3])
+            _semigroup(eigh(-np.ones((2, 2))), np.full(2, 1.5e308), [1.0])
 
 
 class TestTolerancePlumbing:

@@ -20,7 +20,6 @@ from strobetomo.reconstruct import (
     default_time_grid,
     evolve,
     execute,
-    expectation,
     measure,
     plan,
     reconstruct_trajectory,
@@ -221,7 +220,7 @@ class TestEvolveAndMeasure:
 
     def test_expectation_real_for_hermitian(self):
         rho = random_density(np.random.default_rng(31), 2)
-        val = expectation(Q_2, rho)
+        val = measure(Q_2, rho, "exact").value
         assert isinstance(val, float)
         assert val == pytest.approx(np.trace(Q_2 @ rho).real)
 
@@ -229,10 +228,10 @@ class TestEvolveAndMeasure:
         rec = measure(Q_2, RHO_2, "exact", t=0.4)
         assert rec.shots == "exact"
         assert rec.t == 0.4
-        assert rec.value == pytest.approx(expectation(Q_2, RHO_2))
+        assert rec.value == pytest.approx(np.trace(Q_2 @ RHO_2).real)
 
     def test_shot_noise_converges_to_expectation(self):
-        truth = expectation(Q_2, RHO_2)
+        truth = measure(Q_2, RHO_2, "exact").value
         rec = measure(Q_2, RHO_2, 10**6, seed=99)
         assert rec.value == pytest.approx(truth, abs=5e-3)
 
@@ -433,7 +432,8 @@ class TestRefusalTypes:
     @pytest.mark.parametrize("call,match", [
         (lambda: default_time_grid(GEN_2, 0), "grid needs at least one instant, got p = 0"),
         (lambda: default_time_grid(np.zeros((1, 1)), 1), "zero spectrum"),
-        (lambda: expectation(1j * np.eye(2), np.eye(2) / 2), "non-negligible imaginary part"),
+        (lambda: measure(np.diag([1.0, -1.0]), np.diag([0.5, 0.5j]), "exact"),
+         "non-negligible imaginary part"),
         (lambda: measure(Q_2, np.zeros((2, 2)), 100, seed=1), "zero total probability"),
         (lambda: MeasurementRecord(t=0.5, value=0.1, shots=0), "shot count must be >= 1, got 0"),
         (lambda: records_from_csv(io.StringIO("t,value,shots\n\n\n")), "holds no records"),
